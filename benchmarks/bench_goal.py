@@ -8,21 +8,17 @@ wall-time ratios.  The two modes legitimately produce different (both
 valid) routes, so the contract between them is *completion*: goal mode
 must route at least as many connections as classic on the gate board.
 
-Parity *within* goal mode is asserted unconditionally, mirroring the
-repo's existing guarantees:
-
-* python vs numpy backends — bit-identical fingerprints (routed_by,
-  state digest, expansions), skipped without numpy;
-* workers 1 vs 4 (forced pool) — identical routed set and completion,
-  the parallel-router criterion for complete runs.
+Parity *within* goal mode is asserted unconditionally: workers 1 vs 4
+(forced pool) must give an identical routed set and completion, the
+parallel-router criterion for complete runs.
 
 A warm-bounds ECO leg reroutes an edited session and checks the
 :class:`repro.core.bounds.LowerBoundCache` carries across the edit: a
 no-op reroute takes the fast path (zero lookups) and a one-net edit
 rebuilds strictly fewer entries than the cold route did.
 
-Timing discipline matches ``bench_fastpath.py``: ABBA rounds,
-best-of-N per leg, cyclic GC disabled around the measured region.
+Timing discipline: ABBA rounds, best-of-N per leg, cyclic GC disabled
+around the measured region.
 CI's gates fail the run when, on the gate board, goal mode routes
 fewer connections than classic, expands more than
 ``--gate-expansions`` times classic's Lee expansions, or takes more
@@ -60,7 +56,6 @@ except ImportError:  # run as a script: benchmarks/ is sys.path[0]
 
 from repro.api import RouteRequest, begin_eco, route
 from repro.channels.workspace import RoutingWorkspace
-from repro.core.fastpath import HAVE_NUMPY
 from repro.core.router import RouterConfig, make_router
 from repro.stringer import Stringer
 from repro.workloads import make_titan_board
@@ -89,19 +84,16 @@ TIMING_REPEATS = 5
 
 
 def _route_once(
-    name: str, search: str, backend: str = "python", workers: int = 1
+    name: str, search: str, workers: int = 1
 ) -> Tuple[float, Dict]:
     """Route one fresh board; returns (seconds, fingerprint)."""
     board = make_titan_board(name, scale=SUITE_SCALE, seed=SUITE_SEED)
     connections = Stringer(board).string_all()
     workspace = RoutingWorkspace(board)
-    config = RouterConfig(search=search, backend=backend, workers=workers)
+    config = RouterConfig(search=search, workers=workers)
     if workers > 1:
         config = RouterConfig(
-            search=search,
-            backend=backend,
-            workers=workers,
-            pool_auto_serial=False,
+            search=search, workers=workers, pool_auto_serial=False
         )
     router = make_router(board, config, workspace=workspace)
     gc.collect()
@@ -170,20 +162,8 @@ def _compare_board(name: str) -> Dict:
 
 
 def _goal_parity(name: str) -> Dict:
-    """Backend and worker parity within goal mode on one board."""
-    _, py_fp = _route_once(name, "goal", backend="python")
-    backend_parity = None
-    if HAVE_NUMPY:
-        _, np_fp = _route_once(name, "goal", backend="numpy")
-        backend_parity = py_fp == np_fp
-        if not backend_parity:
-            for key in py_fp:
-                if py_fp[key] != np_fp[key]:
-                    print(
-                        f"  goal backend mismatch {key}: "
-                        f"python={py_fp[key]!r} numpy={np_fp[key]!r}",
-                        flush=True,
-                    )
+    """Worker parity within goal mode on one board."""
+    _, py_fp = _route_once(name, "goal")
     _, par_fp = _route_once(name, "goal", workers=4)
     worker_parity = (
         set(par_fp["routed_by"]) == set(py_fp["routed_by"])
@@ -198,7 +178,6 @@ def _goal_parity(name: str) -> Dict:
         )
     return {
         "board": name,
-        "backend_parity": backend_parity,  # None = numpy unavailable
         "worker_parity": worker_parity,
     }
 
@@ -332,8 +311,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     failures: List[str] = []
     parity = report["parity"]
-    if parity["backend_parity"] is False:
-        failures.append("goal-mode python/numpy parity broken")
     if not parity["worker_parity"]:
         failures.append("goal-mode workers 1-vs-4 parity broken")
     if not report["eco"]["warm_reuse"]:
@@ -403,8 +380,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             for row in report["boards"]
         ),
         note=(
-            f"goal parity: backend={parity['backend_parity']}, "
-            f"workers={parity['worker_parity']}; ECO warm reuse: "
+            f"goal parity: workers={parity['worker_parity']}; "
+            f"ECO warm reuse: "
             f"cold_rebuilds={report['eco']['cold_rebuilds']}, "
             f"noop_lookups={report['eco']['noop_lookups']}, "
             f"edit_rebuilds={report['eco']['edit_rebuilds']}"

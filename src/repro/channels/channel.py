@@ -40,19 +40,12 @@ class Channel:
         "_owners",
         "_owner_counts",
         "generation",
-        "array_mirror",
     )
 
     def __init__(self) -> None:
         self._los: List[int] = []
         self._his: List[int] = []
         self._owners: List[int] = []
-        #: Generation-stamped ``(generation, lo array, hi array)`` mirror
-        #: of the segment bounds, built lazily by the fastpath free-gap
-        #: kernel (:func:`repro.core.fastpath.free_gaps_vectorized`) and
-        #: discarded whenever the generation moves on.  Never pickled:
-        #: snapshots rebuild it on first vectorized probe.
-        self.array_mirror: Optional[tuple] = None
         #: owner -> live segment count, maintained by add/remove so
         #: owner-presence probes (the gap cache's base/passable routing
         #: decision) cost O(1) per owner instead of a segment scan.
@@ -176,14 +169,6 @@ class Channel:
         hi = right if right is not None else (1 << 60)
         return (lo, hi)
 
-    def segment_bounds(self) -> Tuple[List[int], List[int]]:
-        """The raw sorted (lo, hi) bound lists — read-only kernel views.
-
-        Callers must not mutate the returned lists; they are the live
-        arrays behind every probe above.
-        """
-        return self._los, self._his
-
     def owner_set(self) -> FrozenSet[int]:
         """All owners with at least one segment in this channel."""
         return frozenset(self._owner_counts)
@@ -297,7 +282,7 @@ class Channel:
         )
 
     # ------------------------------------------------------------------
-    # pickling: snapshots carry segments, not the numpy mirror
+    # pickling: snapshots carry the segments and the generation
     # ------------------------------------------------------------------
 
     def __getstate__(self):
@@ -317,7 +302,6 @@ class Channel:
             self._owner_counts,
             self.generation,
         ) = state
-        self.array_mirror = None
 
     def check_invariants(self) -> None:
         """Assert sortedness and disjointness (used by property tests)."""

@@ -89,8 +89,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Tuple
 
-from repro.core.fastpath import MIN_VECTOR_SEGMENTS, free_gaps_vectorized
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.channels.layer_data import LayerData
 
@@ -175,7 +173,7 @@ class GapCache:
         self.bypassed = 0
         #: channel_index -> entry list (see the slot constants above);
         #: also holds the full-span views :meth:`full_bounds` serves to
-        #: the fastpath kernels.
+        #: the Trace/Vias kernel.
         self._entries: Dict[int, list] = {}
         # Store-level warmup tallies for the self-judgment (module
         # docstring); unlike ``hits``, ``_probe_hits`` excludes the
@@ -256,12 +254,12 @@ class GapCache:
                     # full-span view only on a second distinct box —
                     # and never while on probation, whose misses must
                     # cost no more than an uncached probe.
-                    gaps = self._base_gaps(channel, lo, hi)
+                    gaps = channel.free_gaps(lo, hi)
                     if len(clipped_store) >= MAX_CLIPPED:
                         clipped_store.clear()
                     clipped_store[key] = gaps
                     return gaps
-                gaps = self._base_gaps(channel, 0, span_hi)
+                gaps = channel.free_gaps(0, span_hi)
                 full = (gaps, [g[0] for g in gaps], [g[1] for g in gaps])
                 entry[_BASE] = full
             else:
@@ -308,34 +306,16 @@ class GapCache:
         clipped_store[key] = clipped
         return clipped
 
-    def _base_gaps(
-        self, channel, lo: int, hi: int
-    ) -> List[Tuple[int, int]]:
-        """Passable-blind recompute, vectorized on the numpy backend.
-
-        The base-entry recomputes are the hot ``free_gaps`` traffic; on
-        large channels the numpy kernel turns the O(overlap) segment
-        walk into two ``searchsorted`` calls plus array arithmetic.
-        Small channels keep the python walk — the array-view build
-        would cost more than it saves (see
-        :data:`repro.core.fastpath.MIN_VECTOR_SEGMENTS`).
-        """
-        if (
-            self.layer.backend != "python"
-            and len(channel) >= MIN_VECTOR_SEGMENTS
-        ):
-            return free_gaps_vectorized(channel, lo, hi)
-        return channel.free_gaps(lo, hi)
-
     def full_bounds(
         self, channel_index: int, passable: FrozenSet[int]
     ) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
-        """Full-span ``(gaps, los, his)`` view of one channel (fastpath).
+        """Full-span ``(gaps, los, his)`` view of one channel.
 
-        The numpy kernels traverse whole-channel gap arrays and clamp
-        extents to the search box on the fly, so a single full-span
-        view per ``(channel, passable)`` serves *every* box between
-        mutations — no per-box clip lists on the fast path.  The views
+        The Trace/Vias kernel (:mod:`repro.core.single_layer`) traverses
+        whole-channel gap arrays and clamps extents to the search box on
+        the fly, so a single full-span view per ``(channel, passable)``
+        serves *every* box between mutations — no per-box clip lists on
+        the hot path.  The views
         are the same full-span entries :meth:`gaps` promotes into,
         under the same generation stamping.
 
@@ -373,9 +353,7 @@ class GapCache:
             full = entry[_BASE]
             if full is None:
                 self.misses += 1
-                gaps = self._base_gaps(
-                    channel, 0, self.layer.channel_length - 1
-                )
+                gaps = channel.free_gaps(0, self.layer.channel_length - 1)
                 full = (gaps, [g[0] for g in gaps], [g[1] for g in gaps])
                 entry[_BASE] = full
             else:
@@ -398,9 +376,7 @@ class GapCache:
             full = entry[_BASE]
             if full is None:
                 self.misses += 1
-                gaps = self._base_gaps(
-                    channel, 0, self.layer.channel_length - 1
-                )
+                gaps = channel.free_gaps(0, self.layer.channel_length - 1)
                 full = (gaps, [g[0] for g in gaps], [g[1] for g in gaps])
                 entry[_BASE] = full
             else:

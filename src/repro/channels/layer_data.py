@@ -51,12 +51,6 @@ class LayerData:
         #: Generation-stamped free-gap memo shared by every search on
         #: this layer (see :mod:`repro.channels.gap_cache`).
         self.gap_cache = GapCache(self)
-        #: Resolved search backend ("python" or "numpy") consulted by the
-        #: single-layer searches on every dispatch; set through
-        #: :meth:`repro.channels.workspace.RoutingWorkspace.set_backend`.
-        #: Travels with pickled snapshots, so pool workers and forked
-        #: children inherit the selection automatically.
-        self.backend = "python"
 
     # ------------------------------------------------------------------
     # coordinate mapping

@@ -515,27 +515,6 @@ class RoutingWorkspace:
                 for seg in channel:
                     yield layer_index, channel_index, seg
 
-    def set_backend(self, backend: str) -> None:
-        """Select the resolved search backend for every layer.
-
-        ``backend`` must already be resolved ("python" or "numpy" — see
-        :func:`repro.core.fastpath.resolve_backend`); the single-layer
-        searches dispatch on ``layer.backend`` at every call.  The
-        selection pickles with the layers, so snapshots, forked workers
-        and delta-synced pools inherit it without extra plumbing.
-        """
-        if backend not in ("python", "numpy"):
-            raise ValueError(
-                f"set_backend wants a resolved backend, got {backend!r}"
-            )
-        for layer in self.layers:
-            layer.backend = backend
-
-    @property
-    def backend(self) -> str:
-        """The resolved backend the layers are currently dispatching on."""
-        return self.layers[0].backend if self.layers else "python"
-
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------

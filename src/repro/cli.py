@@ -649,10 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=None,
-        help="search kernel backend: 'numpy' uses the vectorized "
-        "fastpath (requires the [fast] extra), 'python' the "
-        "zero-dependency fallback, 'auto' picks numpy when available; "
-        "results are bit-identical either way (default: GRR_BACKEND "
+        help="search kernel backend; both values run the one scalar "
+        "kernel (the numpy backend was removed) (default: GRR_BACKEND "
         "env, else python)",
     )
     p.add_argument(

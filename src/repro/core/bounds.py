@@ -45,26 +45,14 @@ survive across connections, waves, and ECO edits untouched by the bands.
 
 Because a rebuilt entry is a pure function of current board state (never
 of cache history), warm and cold caches always serve identical values —
-the property that makes python/numpy and workers 1-vs-4 parity *within*
-goal mode structurally safe.  The band scan itself dispatches on the
-workspace backend: the scalar loop and the
-:func:`repro.core.fastpath.band_available_kernel` numpy twin probe the
-same sites in the same order (``ViaMap.probe_count`` included).
+the property that makes workers 1-vs-4 parity *within* goal mode
+structurally safe.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Tuple
 
-# Import the channels package before repro.core.fastpath: fastpath and
-# repro.channels.gap_cache import each other, and the cycle only
-# resolves when channels/__init__ is entered first (fastpath's own
-# channels import targets the via_map submodule directly, which doesn't
-# need the package init to have finished; gap_cache's fastpath import
-# needs the whole module).  Every pre-existing path into fastpath goes
-# through a workspace import, so this module must too.
-import repro.channels  # noqa: F401  (import-order anchor, see above)
-from repro.core import fastpath
 from repro.grid.coords import ViaPoint, manhattan
 from repro.grid.geometry import Orientation
 
@@ -92,7 +80,7 @@ class TargetBounds:
 
     Immutable after construction; rebuilt (never patched) when stale.
     All distances are via-grid-unit integers, so heap keys built from
-    them stay exact across backends.
+    them stay exact.
     """
 
     __slots__ = (
@@ -308,9 +296,9 @@ class LowerBoundCache:
     ) -> TargetBounds:
         """Scan the arrival bands for their nearest available landings.
 
-        Both backends probe the exact same candidate list in the same
-        order (no early exit), so values *and* ``ViaMap.probe_count``
-        match bit for bit between the scalar loop and the numpy kernel.
+        Every candidate site is probed once, in a fixed order (no early
+        exit), so values *and* ``ViaMap.probe_count`` depend on the
+        board alone.
         """
         ws = self.workspace
         via_map = ws.via_map
@@ -345,17 +333,8 @@ class LowerBoundCache:
                         continue
                     xs.append(x)
                     ys.append(y)
-        if (
-            ws.backend == "numpy"
-            and fastpath.HAVE_NUMPY
-            and len(xs) >= fastpath.MIN_VECTOR_SITES
-        ):
-            available = fastpath.band_available_kernel(
-                via_map, xs, ys, passable
-            )
-        else:
-            is_available = via_map.is_available_xy
-            available = [is_available(x, y, passable) for x, y in zip(xs, ys)]
+        is_available = via_map.is_available_xy
+        available = [is_available(x, y, passable) for x, y in zip(xs, ys)]
         cap = BAND_HORIZON + 1
         d_left = d_right = d_down = d_up = cap
         for i in range(h_sites):

@@ -93,6 +93,9 @@ class LeeSearchResult:
     #: bound proved they could not beat the best meet (or the remaining
     #: expansion budget / hop geometry).
     lb_prunes: int = 0
+    #: *Vias* calls answered from this search's memo instead of run
+    #: (see :func:`repro.core.single_layer.reachable_vias`).
+    vias_memo_hits: int = 0
 
 
 def _strip_axis(orientation: Orientation) -> str:
@@ -109,11 +112,14 @@ def _neighbors(
     stats: Optional[SearchStats] = None,
     budget: Optional[BudgetTracker] = None,
     clip: Optional[Box] = None,
+    memo: Optional[dict] = None,
 ) -> List[Tuple[ViaPoint, int]]:
     """All (neighbor via, layer index) pairs reachable in one hop.
 
     "To find the neighbors of a via, Vias is called once for each layer,
     and the result added to an accumulating list" — the cross of Figure 11.
+    ``memo`` is the calling search's *Vias* memo: vias in one strip row
+    whose start points share a free gap reuse one layer search.
 
     ``clip`` intersects every layer's strip (goal mode's corridor box
     around the expanded via and its target, see :func:`_goal_clip`):
@@ -144,6 +150,7 @@ def _neighbors(
             max_gaps,
             stats,
             budget,
+            memo=memo,
         ):
             result.append((n, layer_index))
     return result
@@ -211,10 +218,13 @@ def lee_route(
     if passable is None:
         passable = frozenset((conn.conn_id,))
     stats = SearchStats()
+    # The board stays fixed for the whole search, so one Vias memo
+    # serves every expansion (see repro.core.single_layer).
+    memo: dict = {}
     if bounds is not None:
         return _lee_route_goal(
             workspace, conn, radius, passable, bounds, max_expansions,
-            max_gaps, single_front, sink, budget, stats,
+            max_gaps, single_front, sink, budget, stats, memo,
         )
     a, b = conn.a, conn.b
     sources = (a, b)
@@ -267,7 +277,8 @@ def lee_route(
         hops_p = marks[side][p][0]
         found_meet = None
         for n, layer_index in _neighbors(
-            workspace, p, radius, passable, max_gaps, stats, budget
+            workspace, p, radius, passable, max_gaps, stats, budget,
+            memo=memo,
         ):
             if n in marks[side]:
                 continue
@@ -356,6 +367,7 @@ def _finish(
             exhausted_side=exhausted,
             heap_stale=heap_stale,
             lb_prunes=lb_prunes,
+            vias_memo_hits=stats.memo_hits,
         )
     record = _retrace(
         workspace, conn, meet, marks, radius, passable, max_gaps, stats,
@@ -387,6 +399,7 @@ def _finish(
             best_points=best_points,
             heap_stale=heap_stale,
             lb_prunes=lb_prunes,
+            vias_memo_hits=stats.memo_hits,
         )
     return LeeSearchResult(
         routed=True,
@@ -398,6 +411,7 @@ def _finish(
         best_points=best_points,
         heap_stale=heap_stale,
         lb_prunes=lb_prunes,
+        vias_memo_hits=stats.memo_hits,
     )
 
 
@@ -439,6 +453,7 @@ def _lee_route_goal(
     sink: EventSink,
     budget: Optional[BudgetTracker],
     stats: SearchStats,
+    memo: dict,
 ) -> LeeSearchResult:
     """The goal-mode search loop (``RouterConfig.search = "goal"``).
 
@@ -590,7 +605,8 @@ def _lee_route_goal(
                 workspace, p, target, mu - 1 - g_p - manhattan(p, target)
             )
         for n, layer_index in _neighbors(
-            workspace, p, radius, passable, max_gaps, stats, budget, clip
+            workspace, p, radius, passable, max_gaps, stats, budget, clip,
+            memo,
         ):
             if n in marks[side]:
                 continue

@@ -66,12 +66,7 @@ def _audit_default() -> bool:
 
 
 def _backend_default() -> str:
-    """Search backend from ``GRR_BACKEND`` (CI's backend matrix leg).
-
-    Defaults to the zero-dependency pure-python kernels, *not* "auto":
-    the default path must behave identically whether or not numpy
-    happens to be importable.
-    """
+    """Search backend from ``GRR_BACKEND``, else ``"python"``."""
     return os.environ.get("GRR_BACKEND", "") or "python"
 
 
@@ -151,10 +146,9 @@ class RouterConfig:
     #: (and after every parallel merge), raising on any violation.
     #: Defaults on when the ``GRR_AUDIT`` environment variable is set.
     audit: bool = field(default_factory=_audit_default)
-    #: Search-kernel backend for the single-layer hot loops:
-    #: ``"python"`` (the always-available default), ``"numpy"`` (the
-    #: vectorized :mod:`repro.core.fastpath` kernels, bit-identical
-    #: routes), or ``"auto"`` (numpy when installed, else python).
+    #: Search-kernel backend: ``"auto"`` or ``"python"``, both the one
+    #: scalar kernel (the numpy backend was removed; asking for it
+    #: raises, see :func:`repro.core.fastpath.resolve_backend`).
     #: Defaults from the ``GRR_BACKEND`` environment variable.
     backend: str = field(default_factory=_backend_default)
     #: Lee wavefront mode: ``"classic"`` (the paper's ``distance *
@@ -183,11 +177,7 @@ class RouterConfig:
                 f"unknown cost function {self.cost!r}; "
                 f"choose from {sorted(COST_FUNCTIONS)}"
             )
-        if self.backend not in fastpath.BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"choose from {fastpath.BACKENDS}"
-            )
+        fastpath.resolve_backend(self.backend)
         if self.search not in SEARCH_MODES:
             raise ValueError(
                 f"unknown search mode {self.search!r}; "
@@ -238,11 +228,8 @@ class GreedyRouter:
         self.board = board
         self.config = config or RouterConfig()
         self.workspace = workspace or RoutingWorkspace(board)
-        #: The resolved search backend ("python"/"numpy"), applied to
-        #: every workspace layer; raises here — not mid-route — when an
-        #: explicit backend="numpy" has no numpy to dispatch to.
+        #: The resolved search backend, reported per route().
         self.backend = fastpath.resolve_backend(self.config.backend)
-        self.workspace.set_backend(self.backend)
         #: Routing event stream (repro.obs); the null sink by default.
         self.sink = sink if sink is not None else NULL_SINK
         #: Per-phase CPU profile (Section 12), refreshed by each route().
@@ -400,7 +387,9 @@ class GreedyRouter:
             )
 
     def _note_search(self, search: LeeSearchResult) -> None:
-        """Fold per-search goal-mode counters into the profile."""
+        """Fold per-search counters into the profile."""
+        if search.vias_memo_hits:
+            self.profile.bump("vias_memo_hits", search.vias_memo_hits)
         if search.heap_stale:
             self.profile.bump("heap_stale", search.heap_stale)
         if search.lb_prunes:

@@ -247,15 +247,33 @@ def _footprint_reference(node: SList, fallback: str) -> str:
     return fallback
 
 
+def _number(node: SList, index: int, kind: type = float):
+    """Operand ``index`` of ``node`` (``atom(index)``) as a finite number.
+
+    Every numeric atom the importer reads goes through here, so a short
+    or garbled node raises :class:`KicadFormatError`, never a bare
+    ``IndexError``/``ValueError``.
+    """
+    value = node.atom(index)
+    if value is None:
+        raise KicadFormatError(f"({node.tag} ...) is missing operand {index}")
+    try:
+        number = kind(value)
+    except ValueError:
+        number = None
+    if number is None or not math.isfinite(number):
+        raise KicadFormatError(
+            f"({node.tag} ...) operand {index} is not a number: {value!r}"
+        )
+    return number
+
+
 def _at_values(node: SList) -> Tuple[float, float, float]:
     at = node.find("at")
     if at is None:
         raise KicadFormatError(f"{node.tag!r} has no (at ...)")
-    values = at.atoms()[1:]
-    x = float(values[0])
-    y = float(values[1])
-    rot = float(values[2]) if len(values) > 2 else 0.0
-    return x, y, rot
+    rot = _number(at, 3) if at.atom(3) is not None else 0.0
+    return _number(at, 1), _number(at, 2), rot
 
 
 def _scan_pads(root: SList) -> List[PadRecord]:
@@ -282,8 +300,8 @@ def _scan_pads(root: SList) -> List[PadRecord]:
                 y = fy - px * sin_a + py * cos_a
                 net_node = pad.find("net")
                 kicad_net = 0
-                if net_node is not None:
-                    kicad_net = int(net_node.atom(1) or 0)
+                if net_node is not None and net_node.atom(1):
+                    kicad_net = _number(net_node, 1, int)
                 pads.append(
                     PadRecord(
                         pad_id=index,
@@ -313,16 +331,14 @@ def _edge_bounds(root: SList) -> Optional[Tuple[float, float, float, float]]:
             if not isinstance(child, SList):
                 continue
             if child.tag in ("start", "end", "center", "mid"):
-                values = child.atoms()[1:]
-                if len(values) >= 2:
-                    xs.append(float(values[0]))
-                    ys.append(float(values[1]))
+                points = [child]
             elif child.tag == "pts":
-                for xy in child.find_all("xy"):
-                    values = xy.atoms()[1:]
-                    if len(values) >= 2:
-                        xs.append(float(values[0]))
-                        ys.append(float(values[1]))
+                points = child.find_all("xy")
+            else:
+                continue
+            for point in points:
+                xs.append(_number(point, 1))
+                ys.append(_number(point, 2))
     if not xs or not ys:
         return None
     return min(xs), min(ys), max(xs), max(ys)
@@ -396,7 +412,7 @@ def import_board(
         values = net.atoms()[1:]
         if not values:
             continue
-        net_id = int(values[0])
+        net_id = _number(net, 1, int)
         net_names[net_id] = values[1] if len(values) > 1 else ""
 
     pads = _scan_pads(root)
@@ -648,8 +664,8 @@ def _restore_exported_routes(imp: KicadImport) -> None:
                 f"segment {marker}: unknown copper layer {layer_name!r}"
             )
         index = layer_index[layer_name]
-        a = imp.mm_to_grid(float(start.atom(1)), float(start.atom(2)))
-        b = imp.mm_to_grid(float(end.atom(1)), float(end.atom(2)))
+        a = imp.mm_to_grid(_number(start, 1), _number(start, 2))
+        b = imp.mm_to_grid(_number(end, 1), _number(end, 2))
         layer = imp.workspace.layers[index]
         ca, ka = layer.point_cc(a)
         cb, kb = layer.point_cc(b)
@@ -671,7 +687,7 @@ def _restore_exported_routes(imp: KicadImport) -> None:
         at = node.find("at")
         if at is None:
             raise KicadFormatError(f"via {marker}: missing (at ...)")
-        point = imp.mm_to_grid(float(at.atom(1)), float(at.atom(2)))
+        point = imp.mm_to_grid(_number(at, 1), _number(at, 2))
         g = imp.board.grid.grid_per_via
         if point.gx % g or point.gy % g:
             raise KicadFormatError(f"via {marker}: not on a via site")

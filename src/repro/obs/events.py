@@ -365,11 +365,11 @@ class BoundsStats(RouteEvent):
 
 @dataclass(frozen=True)
 class BackendSelected(RouteEvent):
-    """A router resolved its configured search backend and applied it to
-    the workspace: ``requested`` is the ``RouterConfig.backend`` value
-    ("auto" included), ``selected`` the resolved kernel set actually
-    dispatching ("python" or "numpy").  Emitted once per ``route()``
-    call, so traces record which backend produced every route."""
+    """A router resolved its configured search backend: ``requested`` is
+    the ``RouterConfig.backend`` value ("auto" included), ``selected``
+    the resolved kernel set (always "python" since the numpy backend
+    was removed).  Emitted once per ``route()`` call, so traces record
+    which backend produced every route."""
 
     kind: ClassVar[str] = "backend_selected"
     requested: str

@@ -104,12 +104,10 @@ class ParallelRouter:
         self.board = board
         self.config = config or RouterConfig(workers=2)
         self.workspace = workspace or RoutingWorkspace(board)
-        #: Resolved search backend, applied master-side; snapshots carry
-        #: it to pool workers, so every wave dispatches the same kernels.
+        #: The resolved search backend, reported per route().
         from repro.core import fastpath
 
         self.backend = fastpath.resolve_backend(self.config.backend)
-        self.workspace.set_backend(self.backend)
         #: Master-side routing event stream (repro.obs).  Pool workers
         #: route in other processes and are not traced; their outcomes
         #: surface here as merge/demotion events.

@@ -46,12 +46,11 @@ def _passable_for(conn):
 
 
 class _StubLayer:
-    """Just enough of LayerData for GapCache: channels, length, backend."""
+    """Just enough of LayerData for GapCache: channels and length."""
 
     def __init__(self, n_channels: int = N_CHANNELS, span: int = SPAN):
         self.channels = [Channel() for _ in range(n_channels)]
         self.channel_length = span
-        self.backend = "python"
 
 
 interval = st.tuples(

@@ -4,7 +4,7 @@ Covers the :class:`repro.core.bounds.LowerBoundCache` invalidation
 discipline (warm hits, band-local staleness, cold snapshots), the
 goal-mode search itself (completion, expansion limits, hop-bound
 pruning, the ``heap_stale`` lazy-deletion counter), router/profile
-wiring, python-vs-numpy and serial-vs-parallel parity within the mode,
+wiring, kernel-vs-reference and serial-vs-parallel parity within the mode,
 and warm bound reuse across :class:`repro.eco.EcoSession` reroutes.
 
 Admissibility/consistency *properties* of the bound itself live with
@@ -18,7 +18,6 @@ import pytest
 from repro.api import RouteRequest, begin_eco, route
 from repro.board.board import Board
 from repro.channels.workspace import RoutingWorkspace
-from repro.core import fastpath
 from repro.core.bounds import (
     BAND_HORIZON,
     HOPS_UNREACHABLE,
@@ -248,24 +247,6 @@ class TestLowerBoundCache:
             assert warm_entry.lower_bound(p) == cold_entry.lower_bound(p)
             assert warm_entry.hop_bound(p) == cold_entry.hop_bound(p)
 
-    @pytest.mark.skipif(not fastpath.HAVE_NUMPY, reason="numpy not installed")
-    def test_band_scan_backend_parity(self, board):
-        """Scalar and numpy band scans build identical entries."""
-        conn = make_connection(board, ViaPoint(8, 6), ViaPoint(2, 2))
-        passable = _passable_for(conn)
-        entries = {}
-        for backend in ("python", "numpy"):
-            ws = RoutingWorkspace(board)
-            ws.set_backend(backend)
-            # Some congestion near the target so the bands are non-trivial.
-            ws.drill_via(ViaPoint(7, 6), owner=93)
-            ws.drill_via(ViaPoint(9, 7), owner=93)
-            entries[backend] = ws.lower_bounds.lookup(conn.a, passable, 1)
-        py, np_ = entries["python"], entries["numpy"]
-        assert (py.d_left, py.d_right, py.d_down, py.d_up) == (
-            np_.d_left, np_.d_right, np_.d_down, np_.d_up
-        )
-
 
 # ----------------------------------------------------------------------
 # Router wiring: config, profile counters, observability
@@ -337,21 +318,25 @@ class TestRouterGoalMode:
 
 
 class TestGoalParity:
-    @pytest.mark.skipif(not fastpath.HAVE_NUMPY, reason="numpy not installed")
-    def test_backend_parity(self):
+    def test_backend_parity(self, monkeypatch):
+        """Goal mode routes identically through the search kernel (with
+        its per-search Vias memo) and through the reference DFS."""
+        from tests import oracle_single_layer as oracle
+
         digests = {}
-        for backend in ("python", "numpy"):
+        for implementation in ("kernel", "reference"):
+            if implementation == "reference":
+                oracle.install(monkeypatch)
             board = make_titan_board("tna", scale=0.25, seed=3)
             connections = Stringer(board).string_all()
-            router = GreedyRouter(
-                board, RouterConfig(search="goal", backend=backend)
-            )
+            router = GreedyRouter(board, RouterConfig(search="goal"))
             result = router.route(connections)
-            digests[backend] = (
+            digests[implementation] = (
                 result.workspace.state_digest(),
                 sorted(result.failed),
+                result.lee_expansions,
             )
-        assert digests["python"] == digests["numpy"]
+        assert digests["kernel"] == digests["reference"]
 
     @pytest.mark.slow
     def test_worker_parity(self):

@@ -143,6 +143,61 @@ class TestImportErrors:
             kicad.import_board("(kicad_pcb)", pitch_mm=-1.0)
 
 
+def _mixed_text():
+    with open(MIXED, encoding="utf-8") as stream:
+        return stream.read()
+
+
+def _mutated(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+class TestMalformedNumbers:
+    """Short or garbled numeric atoms raise KicadFormatError, never a
+    bare IndexError/ValueError (mutations of the mixed_smd fixture)."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("(at 20.32 22.86)", "(at)", "missing operand 1"),
+            ("(at 20.32 22.86)", "(at 20.32)", "missing operand 2"),
+            ("(at 20.32 22.86)", "(at 20.32 y)", "not a number"),
+            ("(at 20.32 22.86)", "(at nan 22.86)", "not a number"),
+            ("(at 20.32 22.86)", "(at 20.32 22.86 r90)", "not a number"),
+            ("(at 0 2.54)", "(at 0 2.54mm)", "not a number"),
+            ('(net 1 "GND"))', '(net one "GND"))', "not a number"),
+            ('(net 3 "D0")\n', '(net 3.5 "D0")\n', "not a number"),
+            ("(start 17.78 17.78)", "(start 17.78)", "missing operand 2"),
+            ("(end 58.42 48.26)", "(end inf 48.26)", "not a number"),
+        ],
+        ids=[
+            "at-empty", "at-one-value", "at-word", "at-nan", "at-rotation",
+            "pad-at-unit", "pad-net", "net-id", "edge-start", "edge-inf",
+        ],
+    )
+    def test_import_raises_typed_error(self, old, new, message):
+        text = _mutated(_mixed_text(), old, new)
+        with pytest.raises(KicadFormatError, match=message):
+            kicad.import_board(text, path="mixed_smd.kicad_pcb")
+
+    @pytest.mark.parametrize("kind, tag", [("segment", "start"), ("via", "at")])
+    def test_exported_route_raises_typed_error(self, kind, tag):
+        imp = kicad.load_file(MIXED)
+        lines = kicad.export_document(imp, _route(imp).workspace).split("\n")
+        # The first exported route item (pin dispersion traces are
+        # re-laid by the import, so their geometry is never read).
+        row = next(
+            i for i, line in enumerate(lines)
+            if line.lstrip().startswith(f"({kind} ") and "uuid grr-c" in line
+        )
+        head = lines[row].index(f"({tag} ")
+        end = lines[row].index(")", head)
+        lines[row] = lines[row][:head] + f"({tag} 1" + lines[row][end:]
+        with pytest.raises(KicadFormatError, match="missing operand 2"):
+            kicad.import_board("\n".join(lines), path="mixed_smd.kicad_pcb")
+
+
 @pytest.mark.parametrize("path", [CHARLIE, MIXED], ids=["charlie", "mixed"])
 class TestRoundTrip:
     def test_route_export_reimport_is_identical(self, path):
