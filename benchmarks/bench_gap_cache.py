@@ -17,8 +17,8 @@ Results land in ``BENCH_cache.json``.  The hit-rate assertion
 opt-in because shared runners make timings noisy:
 ``--assert-improvement`` floors the suite-total win, and
 ``--assert-board-floor`` caps the *regression* any single board may
-show (the small-channel bypass exists precisely so tiny boards never
-pay for the memo machinery they cannot use).
+show (a full-span view costs one recompute per channel mutation, which
+is what an uncached search pays anyway, so no board should lose).
 
 Usage::
 
@@ -130,10 +130,6 @@ def _route_once(
             "complete": result.complete,
             "hits": hits,
             "misses": misses,
-            # Small-channel requests that skipped memoization entirely;
-            # excluded from the hit rate, which describes only the
-            # traffic the memo accepts.
-            "bypassed": counters.get("gap_cache_bypassed", 0),
             "hit_rate": round(hits / total, 4) if total else None,
         },
         set(result.routed_by),
@@ -236,7 +232,6 @@ def run_benchmark(
             else None,
             "hits": hits,
             "misses": misses,
-            "bypassed": sum(r["cache_on"]["bypassed"] for r in rows),
             "hit_rate": round(hits / (hits + misses), 4)
             if hits + misses
             else None,

@@ -519,12 +519,11 @@ class RoutingWorkspace:
     # metrics
     # ------------------------------------------------------------------
 
-    def gap_cache_stats(self) -> Tuple[int, int, int]:
-        """Aggregate (hits, misses, bypassed) over every layer's cache."""
+    def gap_cache_stats(self) -> Tuple[int, int]:
+        """Aggregate (hits, misses) over every layer's cache."""
         hits = sum(layer.gap_cache.hits for layer in self.layers)
         misses = sum(layer.gap_cache.misses for layer in self.layers)
-        bypassed = sum(layer.gap_cache.bypassed for layer in self.layers)
-        return hits, misses, bypassed
+        return hits, misses
 
     @property
     def lower_bounds(self):

@@ -199,13 +199,11 @@ def _print_profile(profile) -> None:
         )
     hits = profile.counters.get("gap_cache_hits", 0)
     misses = profile.counters.get("gap_cache_misses", 0)
-    bypassed = profile.counters.get("gap_cache_bypassed", 0)
     total = hits + misses
-    if total or bypassed:
-        rate = f"{100.0 * hits / total:.1f}% hit rate" if total else "no memoized traffic"
+    if total:
         print(
-            f"  gap cache: {hits} hits / {misses} misses / "
-            f"{bypassed} bypassed ({rate})"
+            f"  gap cache: {hits} hits / {misses} misses "
+            f"({100.0 * hits / total:.1f}% hit rate)"
         )
     lb_hits = profile.counters.get("lb_hits", 0)
     lb_rebuilds = profile.counters.get("lb_rebuilds", 0)
@@ -219,7 +217,7 @@ def _print_profile(profile) -> None:
         )
     for counter, amount in sorted(profile.counters.items()):
         if counter not in (
-            "gap_cache_hits", "gap_cache_misses", "gap_cache_bypassed",
+            "gap_cache_hits", "gap_cache_misses",
             "lb_hits", "lb_rebuilds", "lb_prunes", "heap_stale",
         ):
             print(f"  {counter}: {amount}")

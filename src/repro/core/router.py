@@ -333,30 +333,21 @@ class GreedyRouter:
         return result
 
     def _note_cache_stats(
-        self, before: Tuple[int, int, int], context: str
+        self, before: Tuple[int, int], context: str
     ) -> None:
         """Fold this run's free-gap cache delta into profile counters
         and emit one :class:`~repro.obs.events.CacheStats` event."""
-        hits_after, misses_after, bypassed_after = (
-            self.workspace.gap_cache_stats()
-        )
+        hits_after, misses_after = self.workspace.gap_cache_stats()
         hits = hits_after - before[0]
         misses = misses_after - before[1]
-        bypassed = bypassed_after - before[2]
         if hits or misses:
             self.profile.bump("gap_cache_hits", hits)
             self.profile.bump("gap_cache_misses", misses)
-        if bypassed:
-            self.profile.bump("gap_cache_bypassed", bypassed)
         if self.sink.enabled:
             total = hits + misses
             self.sink.emit(
                 CacheStats(
-                    context,
-                    hits,
-                    misses,
-                    hits / total if total else 0.0,
-                    bypassed,
+                    context, hits, misses, hits / total if total else 0.0
                 )
             )
 

@@ -15,12 +15,13 @@ the board as to the neighboring pin".
 * :func:`obstructions` — "What connections are near point a on layer l
   lying in box?"  Victim selection for rip-up.
 
-``trace`` and ``reachable_vias`` run on the router's hottest path (every
-Lee expansion calls *Vias* once per layer), so they share one scalar
-kernel shaped for the interpreter rather than the textbook DFS kept in
-``tests/oracle_single_layer.py``, which the parity suites hold them to
-bit for bit (results, emission order, :class:`SearchStats`, via-map
-probes):
+All three run on one scalar kernel shaped for the interpreter rather
+than the textbook DFS kept in ``tests/oracle_single_layer.py``, which the
+parity suites hold them to bit for bit (results, emission order,
+:class:`SearchStats`, via-map probes).  ``trace`` and ``reachable_vias``
+run on the router's hottest path (every Lee expansion calls *Vias* once
+per layer); ``obstructions``, the kernel's third user, runs the *Vias*
+DFS and reads owners around each popped gap:
 
 * **Full-span views.**  The DFS walks each channel's whole-length gap
   arrays (:meth:`repro.channels.gap_cache.GapCache.full_bounds`, one
@@ -52,16 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set, Tuple
 
 from repro.channels.layer_data import ChannelPiece, LayerData
 from repro.channels.via_map import MIXED, ViaMap
@@ -71,9 +63,6 @@ from repro.grid.geometry import Box, Orientation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.budget import BudgetTracker
-
-#: Identity of a free gap: (channel index, index in the channel's gap list).
-GapKey = Tuple[int, int]
 
 #: Default cap on gaps examined per search, a safety net against
 #: pathological congestion.  A capped search is *truncated*, not proven
@@ -107,11 +96,6 @@ class SearchStats:
             self.cap_hits += 1
 
 
-#: Sentinel larger than any gap hi-bound, so ``(coord, _COORD_INF)`` sorts
-#: after every gap starting at ``coord`` in ``gap_index_at``'s bisect.
-_COORD_INF = 1 << 62
-
-
 def _clip_box(layer: LayerData, box: Box) -> Tuple[int, int, int, int]:
     """``box`` as (channel lo, channel hi, coord lo, coord hi) on the layer."""
     c_lo, c_hi, lo, hi = layer.box_cc(box)
@@ -121,85 +105,6 @@ def _clip_box(layer: LayerData, box: Box) -> Tuple[int, int, int, int]:
         max(lo, 0),
         min(hi, layer.channel_length - 1),
     )
-
-
-class _FreeSpace:
-    """Box-clipped free-gap view of one layer region for one search.
-
-    The view :func:`obstructions` walks, thin over the layer's
-    :class:`~repro.channels.gap_cache.GapCache`: the per-channel lists
-    survive across searches there (the board does not change between
-    most searches), while this object only holds the box clip and a
-    per-search ``{channel: list}`` memo so the ``gaps()`` call is a
-    single int-keyed dict lookup.
-    """
-
-    def __init__(
-        self, layer: LayerData, box: Box, passable: FrozenSet[int]
-    ) -> None:
-        self.layer = layer
-        self.passable = passable
-        self.c_lo, self.c_hi, self.lo, self.hi = _clip_box(layer, box)
-        self._cache = layer.gap_cache
-        self._gaps: Dict[int, List[Tuple[int, int]]] = {}
-
-    @property
-    def is_empty(self) -> bool:
-        """True if the box misses the layer entirely."""
-        return self.c_lo > self.c_hi or self.lo > self.hi
-
-    def in_box(self, channel_index: int, coord: int) -> bool:
-        """True if channel coordinates lie inside the clipped box."""
-        return (
-            self.c_lo <= channel_index <= self.c_hi
-            and self.lo <= coord <= self.hi
-        )
-
-    def gaps(self, channel_index: int) -> List[Tuple[int, int]]:
-        """Free gaps of one channel, clipped to the box (cached).
-
-        Repeat reads within this search count as cache hits: they are
-        requests the gap-serving subsystem answered without recomputing,
-        same as a shared-store hit, so the hit/miss counters describe
-        every ``gaps()`` request a search makes.
-        """
-        cached = self._gaps.get(channel_index)
-        if cached is None:
-            cached = self._cache.gaps(
-                channel_index, self.lo, self.hi, self.passable
-            )
-            self._gaps[channel_index] = cached
-        else:
-            self._cache.hits += 1
-        return cached
-
-    def gap_index_at(self, channel_index: int, coord: int) -> Optional[int]:
-        """Index of the gap containing ``coord``, or None if blocked.
-
-        The gap list is sorted and disjoint, so the candidate is the last
-        gap starting at or before ``coord`` — found by bisect, not by
-        scanning from index 0.
-        """
-        gaps = self.gaps(channel_index)
-        i = bisect_right(gaps, (coord, _COORD_INF)) - 1
-        if i >= 0 and gaps[i][1] >= coord:
-            return i
-        return None
-
-
-def _adjacent_gaps(
-    fs: _FreeSpace, channel_index: int, glo: int, ghi: int
-) -> Iterator[Tuple[GapKey, Tuple[int, int]]]:
-    """Gaps in the two neighboring channels overlapping ``[glo, ghi]``."""
-    for nc in (channel_index - 1, channel_index + 1):
-        if not fs.c_lo <= nc <= fs.c_hi:
-            continue
-        for ngi, (nglo, nghi) in enumerate(fs.gaps(nc)):
-            if nghi < glo:
-                continue
-            if nglo > ghi:
-                break
-            yield (nc, ngi), (nglo, nghi)
 
 
 def trace(
@@ -360,48 +265,6 @@ def _trim_chain(
         prev = j
     pieces.append((chain[-1][0], min(prev, xb), max(prev, xb)))
     return pieces
-
-
-def _explore_all(
-    fs: _FreeSpace,
-    start: GapKey,
-    max_gaps: int,
-    stats: Optional[SearchStats] = None,
-    budget: Optional["BudgetTracker"] = None,
-) -> Iterator[GapKey]:
-    """Enumerate all gaps reachable from ``start``, up to ``max_gaps``.
-
-    Counts popped gaps — the same accounting as :func:`trace` — so one
-    ``max_gaps`` value caps both search shapes identically.  Hitting the
-    cap (or an exhausted ``budget``) truncates the enumeration and marks
-    ``stats`` as capped.
-    """
-    seen: Set[GapKey] = {start}
-    stack = [start]
-    examined = 0
-    capped = False
-    while stack:
-        key = stack.pop()
-        examined += 1
-        if examined > max_gaps:
-            capped = True
-            break
-        if (
-            budget is not None
-            and (examined & SEARCH_CHECK_MASK) == 0
-            and budget.search_exceeded()
-        ):
-            capped = True
-            break
-        yield key
-        c, gi = key
-        glo, ghi = fs.gaps(c)[gi]
-        for nkey, _ in _adjacent_gaps(fs, c, glo, ghi):
-            if nkey not in seen:
-                seen.add(nkey)
-                stack.append(nkey)
-    if stats is not None:
-        stats.note(examined, capped)
 
 
 def reachable_vias(
@@ -587,33 +450,69 @@ def obstructions(
     Enumerates the free space around ``a`` exhaustively and collects the
     owner of every used segment bounding or flanking a visited gap — "the
     list of immediate obstacles that surround a point on a given layer",
-    used to select victims to be ripped up.
+    used to select victims to be ripped up.  The DFS is the *Vias* one
+    (same pop order, same ``max_gaps`` accounting); owners are read with
+    each popped gap's box-clamped extent.
     """
     ca, xa = layer.point_cc(a)
-    fs = _FreeSpace(layer, box, passable)
-    if fs.is_empty or not fs.in_box(ca, xa):
+    c_lo, c_hi, lo, hi = _clip_box(layer, box)
+    if not (c_lo <= ca <= c_hi and lo <= xa <= hi):
         return set()
     owners: Set[int] = set()
-    channel_a = layer.channel(ca)
-    start_index = fs.gap_index_at(ca, xa)
-    if start_index is None:
+    channels = layer.channels
+    full_bounds = layer.gap_cache.full_bounds
+    stride = layer.channel_length + 1
+    views: list = [None] * (c_hi - c_lo + 1)
+    start_view = views[ca - c_lo] = full_bounds(ca, passable)
+    los_s = start_view[1]
+    si = bisect_right(los_s, xa) - 1
+    if si < 0 or start_view[2][si] < xa:
         # The point itself is buried under another connection: that owner
         # is the obstruction.
-        blocker = channel_a.owner_at(xa)
+        blocker = channels[ca].owner_at(xa)
         if blocker is not None and blocker not in passable:
             owners.add(blocker)
         return owners
-    for c, gi in _explore_all(fs, (ca, start_index), max_gaps, stats):
-        channel = layer.channel(c)
-        glo, ghi = fs.gaps(c)[gi]
+    seen = {ca * stride + si}
+    stack = [(ca, max(los_s[si], lo), min(start_view[2][si], hi))]
+    last_x = layer.channel_length - 1
+    last_c = layer.n_channels - 1
+    examined = 0
+    capped = False
+    while stack:
+        c, glo, ghi = stack.pop()
+        examined += 1
+        if examined > max_gaps:
+            capped = True
+            break
+        channel = channels[c]
         # Used segments bounding the gap along the channel.
         for x in (glo - 1, ghi + 1):
-            if 0 <= x < layer.channel_length:
+            if 0 <= x <= last_x:
                 owner = channel.owner_at(x)
                 if owner is not None and owner not in passable:
                     owners.add(owner)
-        # Used segments flanking the gap in the neighboring channels.
         for nc in (c - 1, c + 1):
-            if 0 <= nc < layer.n_channels:
-                owners |= layer.channel(nc).owners_in(glo, ghi, passable)
+            # Used segments flanking the gap in the neighboring channel.
+            if 0 <= nc <= last_c:
+                owners |= channels[nc].owners_in(glo, ghi, passable)
+            if nc < c_lo or nc > c_hi:
+                continue
+            nview = views[nc - c_lo]
+            if nview is None:
+                nview = views[nc - c_lo] = full_bounds(nc, passable)
+            los_n = nview[1]
+            his_n = nview[2]
+            i = bisect_left(his_n, glo)
+            j = bisect_right(los_n, ghi, i)
+            base = nc * stride
+            for ngi in range(i, j):
+                nkey = base + ngi
+                if nkey not in seen:
+                    seen.add(nkey)
+                    stack.append(
+                        (nc, max(los_n[ngi], lo), min(his_n[ngi], hi))
+                    )
+    if stats is not None:
+        stats.note(examined, capped)
     return owners

@@ -336,16 +336,13 @@ class AutoSerial(RouteEvent):
 @dataclass(frozen=True)
 class CacheStats(RouteEvent):
     """Free-gap cache totals for one routing phase (``repro.channels.
-    gap_cache``): requests served without vs. with a recompute, plus the
-    small-channel requests that bypassed memoization entirely (neither
-    hits nor misses; excluded from ``hit_rate``)."""
+    gap_cache``): view reads served without vs. with a recompute."""
 
     kind: ClassVar[str] = "cache_stats"
     context: str
     hits: int
     misses: int
     hit_rate: float
-    bypassed: int = 0
 
 
 @dataclass(frozen=True)

@@ -557,7 +557,6 @@ class ParallelRouter:
                     hits,
                     misses,
                     hits / total if total else 0.0,
-                    self.profile.counters.get("gap_cache_bypassed", 0),
                 )
             )
         result.cpu_seconds = time.perf_counter() - started

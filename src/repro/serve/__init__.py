@@ -7,7 +7,7 @@ against boards it has already routed — so this package keeps the
 expensive state alive between HTTP calls:
 
 * :class:`SessionManager` holds named warm :class:`~repro.eco.EcoSession`
-  objects (kept worker pools, graduated gap caches, continuous delta
+  objects (kept worker pools, warm free-gap views, continuous delta
   recordings) with idle-TTL eviction;
 * :class:`AdmissionController` bounds concurrent routing jobs — a full
   queue answers 429 + Retry-After instead of queueing without bound —

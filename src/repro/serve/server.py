@@ -25,6 +25,7 @@ SSE subscribers.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import io
 import os
 import time
@@ -32,7 +33,12 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.api import begin_eco, request_from_text, route as api_route
+from repro.api import (
+    RouteRequest,
+    begin_eco,
+    request_from_text,
+    route as api_route,
+)
 from repro.board.technology import LogicFamily
 from repro.channels.workspace import RoutingWorkspace
 from repro.core.profiling import RouterProfile
@@ -116,10 +122,32 @@ def _connections_text(body: Dict[str, object], board_format: str):
     return _require_str(body, "connections")
 
 
+def _bad_text(exc: ValueError) -> HttpError:
+    """A body text that failed to decode: the client's error, a 400."""
+    return HttpError(400, f"{type(exc).__name__}: {exc}")
+
+
+def _decode(
+    board_text: str,
+    connections_text: Optional[str],
+    board_format: str,
+    config: RouterConfig,
+) -> RouteRequest:
+    """The body's board and connections as a request, or a 400.
+
+    Every decoder in the :mod:`repro.io` registry raises a typed
+    ``ValueError`` subclass on malformed text.
+    """
+    try:
+        return request_from_text(
+            board_text, connections_text, format=board_format, config=config
+        )
+    except ValueError as exc:
+        raise _bad_text(exc) from exc
+
+
 def _router_config(body: Dict[str, object], default_workers: int):
     """Per-request router knobs: worker count + pool heuristic override."""
-    import dataclasses
-
     try:
         workers = int(body.get("workers", default_workers))
     except (TypeError, ValueError):
@@ -378,18 +406,14 @@ class RoutingServer:
         include_routes = bool(body.get("include_routes", False))
         wait = bool(body.get("wait", True))
         budget = self.config.budget_for(_optional_timeout(body))
+        req = await self._loop.run_in_executor(
+            None, _decode, board_text, connections_text, board_format,
+            router_config,
+        )
         job, grant = self._accept("/route", "route")
-        sink = job.sink
+        req = dataclasses.replace(req, budget=budget, sink=job.sink)
 
         def work() -> Dict:
-            req = request_from_text(
-                board_text,
-                connections_text,
-                format=board_format,
-                budget=budget,
-                config=router_config,
-                sink=sink,
-            )
             response = api_route(req)
             return self._route_payload(
                 response, response.result.workspace, include_routes
@@ -413,6 +437,10 @@ class RoutingServer:
         router_config = _router_config(body, self.config.workers)
         include_routes = bool(body.get("include_routes", False))
         budget = self.config.budget_for(_optional_timeout(body))
+        req = await self._loop.run_in_executor(
+            None, _decode, board_text, connections_text, board_format,
+            router_config,
+        )
         try:
             managed = self.sessions.reserve(name)
         except KeyError:
@@ -422,14 +450,13 @@ class RoutingServer:
             # Adoption: the routed state ships with the request; no
             # routing happens, so no admission slot is needed.
             def adopt() -> Dict:
-                req = request_from_text(
-                    board_text,
-                    connections_text,
-                    format=board_format,
-                    config=router_config,
-                )
                 workspace = RoutingWorkspace(req.board)
-                restored = load_routes(workspace, io.StringIO(routes_text))
+                try:
+                    restored = load_routes(
+                        workspace, io.StringIO(routes_text)
+                    )
+                except ValueError as exc:
+                    raise _bad_text(exc) from exc
                 session = EcoSession(
                     req.board,
                     list(req.connections),
@@ -460,17 +487,9 @@ class RoutingServer:
         except HttpError:
             self.sessions.abort(managed)
             raise
-        sink = job.sink
+        req = dataclasses.replace(req, budget=budget, sink=job.sink)
 
         def work() -> Dict:
-            req = request_from_text(
-                board_text,
-                connections_text,
-                format=board_format,
-                budget=budget,
-                config=router_config,
-                sink=sink,
-            )
             response = api_route(req)
             session = begin_eco(req, response)
             self.sessions.fulfill(managed, session)

@@ -2,7 +2,7 @@
 
 This is the state that makes the service worth running: a session's
 :class:`~repro.eco.EcoSession` carries the routed workspace, the kept
-worker pool and the graduated gap caches across requests, so an edit →
+worker pool and the warm free-gap views across requests, so an edit →
 reroute round trip costs what the *edit* costs, not a cold route.
 
 Lifecycle rules a long-lived process forces:

@@ -185,17 +185,15 @@ class TestGapCacheSurvivesSync:
             if (li, c) not in touched
         )
         cache = base.layers[li].gap_cache
-        cache.bypass_threshold = -1  # memoize even empty channels
-        span = base.layers[li].channel_length - 1
-        cache.gaps(far, 0, span, frozenset())   # prime: miss
-        cache.gaps(ci, 0, span, frozenset())    # prime the touched one too
+        cache.full_bounds(far, frozenset())   # prime: miss
+        cache.full_bounds(ci, frozenset())    # prime the touched one too
         hits0, misses0 = cache.hits, cache.misses
 
         base.apply_delta(delta)
 
-        cache.gaps(far, 0, span, frozenset())
+        cache.full_bounds(far, frozenset())
         assert cache.hits == hits0 + 1, "untouched channel lost its entry"
-        cache.gaps(ci, 0, span, frozenset())
+        cache.full_bounds(ci, frozenset())
         assert cache.misses == misses0 + 1, (
             "touched channel must be invalidated by the sync"
         )

@@ -1,9 +1,10 @@
-"""The scalar Trace/Vias kernel against the reference DFS, and the Vias memo.
+"""The scalar Section 7 kernel against the reference DFS, and the Vias memo.
 
-:mod:`repro.core.single_layer` runs one kernel for ``trace`` and
-``reachable_vias``.  It must be *bit-for-bit* substitutable for the
-plain depth-first search kept in ``tests/oracle_single_layer.py``: same
-results in the same emission order, same :class:`SearchStats`, same
+:mod:`repro.core.single_layer` runs one kernel for ``trace``,
+``reachable_vias`` and ``obstructions``.  It must be *bit-for-bit*
+substitutable for the plain depth-first search kept in
+``tests/oracle_single_layer.py``: same results in the same emission
+order (owner sets for ``obstructions``), same :class:`SearchStats`, same
 truncation points at the ``max_gaps`` cap and at budget checkpoints,
 and — with no memo — the same via-map probe accounting.  With the
 per-search *Vias* memo, lists and statistics stay identical while
@@ -27,7 +28,12 @@ from repro.channels.workspace import RoutingWorkspace
 from repro.core import fastpath
 from repro.core.budget import BudgetTracker, RouteBudget
 from repro.core.router import GreedyRouter, RouterConfig
-from repro.core.single_layer import SearchStats, reachable_vias, trace
+from repro.core.single_layer import (
+    SearchStats,
+    obstructions,
+    reachable_vias,
+    trace,
+)
 from repro.grid.coords import GridPoint, ViaPoint
 from repro.grid.geometry import Box
 from repro.stringer import Stringer
@@ -110,7 +116,8 @@ grid_point = st.tuples(st.integers(0, 27), st.integers(0, 21)).map(
 
 
 class TestSearchParity:
-    """trace / reachable_vias agree exactly with the reference DFS."""
+    """trace / reachable_vias / obstructions agree exactly with the
+    reference DFS."""
 
     @given(
         segments=st.lists(ws_segment, max_size=16),
@@ -168,6 +175,51 @@ class TestSearchParity:
         assert rk == ro
         assert _effort(sk) == _effort(so)
         assert pk == po
+
+    @given(
+        segments=st.lists(ws_segment, max_size=16),
+        a=grid_point,
+        layer_index=st.integers(0, 1),
+        max_gaps=st.one_of(st.just(20000), st.integers(1, 6)),
+        passable=st.frozensets(st.integers(5, 9), max_size=2),
+        box=st.tuples(st.integers(0, 10), st.integers(0, 8)).map(
+            lambda t: Box(t[0], t[1], 27 - t[0], 21 - t[1])
+        ),
+    )
+    @settings(max_examples=scaled(80), deadline=None)
+    def test_obstructions_parity(
+        self, segments, a, layer_index, max_gaps, passable, box
+    ):
+        ws = _populated_workspace(segments)
+        layer = ws.layers[layer_index]
+        (rk, sk, _), (ro, so, _) = _kernel_and_oracle(
+            ws,
+            lambda stats: obstructions(
+                layer, a, box, passable, max_gaps, stats
+            ),
+            lambda stats: oracle.obstructions(
+                layer, a, box, passable, max_gaps, stats
+            ),
+        )
+        assert rk == ro
+        assert _effort(sk) == _effort(so)
+
+    def test_obstructions_read_both_channel_ends(self):
+        # The gap between single-cell segments on a channel's first and
+        # last cells, walled in by its full neighbor channels: the end
+        # owners are found only by the along-channel probes.
+        board = Board.create(via_nx=10, via_ny=8, n_signal_layers=2)
+        ws = RoutingWorkspace(board)
+        layer = ws.layers[0]
+        c, last = 4, layer.channel_length - 1
+        ws.add_segment(0, c, 0, 0, 5)
+        ws.add_segment(0, c, last, last, 6)
+        for nc in (c - 1, c + 1):
+            ws.add_segment(0, nc, 0, last, 7)
+        a = layer.cc_point(c, last // 2)
+        box = Box(0, 0, board.grid.nx - 1, board.grid.ny - 1)
+        for search in (obstructions, oracle.obstructions):
+            assert search(layer, a, box) == {5, 6, 7}
 
     def test_budget_exhaustion_truncates_identically(self):
         # Tall empty board: >64 free gaps in the box, so the budget

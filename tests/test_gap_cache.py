@@ -1,10 +1,11 @@
 """The generation-stamped free-gap cache (repro.channels.gap_cache).
 
-The load-bearing property: a :class:`GapCache` read is *always* equal to
-a fresh ``Channel.free_gaps`` recompute, no matter how adds, removes and
-probes interleave — the generation stamps make a stale read structurally
-impossible.  Around that, unit tests for the generation protocol, the
-snapshot/pickle semantics, the unified ``max_gaps`` cap signal and the
+The load-bearing property: a :meth:`GapCache.full_bounds` read is
+*always* equal to a fresh full-span ``Channel.free_gaps`` recompute, no
+matter how adds, removes and probes interleave — the generation stamps
+make a stale read structurally impossible.  Around that, unit tests for
+the generation protocol, the base-view alias, the snapshot/pickle
+semantics, the unified ``max_gaps`` cap signal and the reference DFS's
 bisect-based ``gap_index_at``.
 """
 
@@ -18,16 +19,11 @@ from hypothesis import strategies as st
 
 from repro.channels.alternatives import MovingHeadChannel, TreeChannel
 from repro.channels.channel import Channel, ChannelConflictError
-from repro.channels.gap_cache import GapCache
+from repro.channels.gap_cache import MAX_FULL_VARIANTS, GapCache
 from repro.channels.workspace import RoutingWorkspace
 from repro.core.lee import lee_route
 from repro.core.router import GreedyRouter, RouterConfig
-from repro.core.single_layer import (
-    SearchStats,
-    _FreeSpace,
-    reachable_vias,
-    trace,
-)
+from repro.core.single_layer import SearchStats, reachable_vias, trace
 from repro.grid.coords import GridPoint, ViaPoint
 from repro.grid.geometry import Box
 from repro.obs.sinks import RingBufferSink
@@ -35,6 +31,7 @@ from repro.stringer import Stringer
 from repro.workloads import BoardSpec, NetlistSpec, generate_board
 
 from tests.conftest import make_connection, scaled
+from tests.oracle_single_layer import _FreeSpace
 
 SPAN = 40
 N_CHANNELS = 3
@@ -53,18 +50,19 @@ class _StubLayer:
         self.channel_length = span
 
 
+#: Owners 0-3 hold segments; 4-11 never do, so passable sets drawn from
+#: them see the base view (the alias path).  Up to 12 owners give more
+#: distinct passable sets per channel than MAX_FULL_VARIANTS keeps.
+OWNERS = 4
+
 interval = st.tuples(
-    st.integers(0, SPAN - 1), st.integers(1, 8), st.integers(0, 3)
+    st.integers(0, SPAN - 1), st.integers(1, 8), st.integers(0, OWNERS - 1)
 ).map(lambda t: (t[0], min(t[0] + t[1] - 1, SPAN - 1), t[2]))
 
 probe = st.tuples(
     st.integers(0, N_CHANNELS - 1),
-    st.integers(0, SPAN - 1),
-    st.integers(0, SPAN - 1),
-    st.sets(st.integers(0, 3), max_size=2),
-).map(
-    lambda t: (t[0], min(t[1], t[2]), max(t[1], t[2]), frozenset(t[3]))
-)
+    st.sets(st.integers(0, 3 * OWNERS - 1), max_size=2),
+).map(lambda t: (t[0], frozenset(t[1])))
 
 op = st.one_of(
     st.tuples(st.just("add"), st.integers(0, N_CHANNELS - 1), interval),
@@ -73,20 +71,14 @@ op = st.one_of(
 )
 
 
-@given(st.booleans(), st.lists(op, min_size=1, max_size=60))
-@settings(max_examples=scaled(200), deadline=None)
-def test_cache_reads_equal_fresh_recompute(graduated, ops):
-    """Every cache read under interleaved add/remove/probe sequences
-    equals a fresh ``Channel.free_gaps`` recompute — on probation
-    (boxed-only stores) and graduated (full-span promotion) alike."""
-    layer = _StubLayer()
-    cache = GapCache(layer)
-    # Exercise the memo machinery even on these small stub channels (the
-    # small-channel bypass path is a direct free_gaps delegation, covered
-    # by TestSmallChannelBypass).
-    cache.bypass_threshold = 0
-    if graduated:
-        cache.graduate()
+def _fresh(channel, passable):
+    gaps = channel.free_gaps(0, SPAN - 1, passable)
+    return (gaps, [g[0] for g in gaps], [g[1] for g in gaps])
+
+
+def _run_ops(cache, layer, ops):
+    """Apply ``ops``; every probe reads twice and must equal a fresh
+    full-span recompute (the second read comes from the store)."""
     installed = []  # (channel_index, lo, hi, owner)
     for kind, arg, payload in ops:
         if kind == "add":
@@ -102,108 +94,43 @@ def test_cache_reads_equal_fresh_recompute(graduated, ops):
             c, lo, hi, owner = installed.pop(arg % len(installed))
             layer.channels[c].remove(lo, hi, owner)
         else:
-            c, lo, hi, passable = payload
-            fresh = layer.channels[c].free_gaps(lo, hi, passable)
-            # Twice: the first read may recompute, the second must come
-            # from the clipped store — both must equal the recompute.
-            assert cache.gaps(c, lo, hi, passable) == fresh
-            assert cache.gaps(c, lo, hi, passable) == fresh
-    # Post-sequence sweep over every channel at assorted clips.
+            c, passable = payload
+            fresh = _fresh(layer.channels[c], passable)
+            assert cache.full_bounds(c, passable) == fresh
+            assert cache.full_bounds(c, passable) == fresh
+    # Post-sequence sweep: every channel, more passable sets than the
+    # variant cap keeps, owning and non-owning alike.
     for c, channel in enumerate(layer.channels):
-        for lo in range(0, SPAN, 7):
-            hi = min(lo + 11, SPAN - 1)
-            assert cache.gaps(c, lo, hi, frozenset()) == channel.free_gaps(
-                lo, hi
+        for owner in range(MAX_FULL_VARIANTS + OWNERS + 1):
+            passable = frozenset((owner,))
+            assert cache.full_bounds(c, passable) == _fresh(
+                channel, passable
             )
+        assert cache.full_bounds(c, frozenset()) == _fresh(
+            channel, frozenset()
+        )
 
 
-@given(st.lists(interval, min_size=1, max_size=25))
+@given(st.lists(op, min_size=1, max_size=60))
+@settings(max_examples=scaled(200), deadline=None)
+def test_cache_reads_equal_fresh_recompute(ops):
+    """Every ``full_bounds`` read under interleaved add/remove/probe
+    sequences equals a fresh ``Channel.free_gaps`` recompute."""
+    layer = _StubLayer()
+    cache = GapCache(layer)
+    _run_ops(cache, layer, ops)
+    assert cache.hits > 0
+
+
+@given(st.lists(op, min_size=1, max_size=60))
 @settings(max_examples=scaled(100), deadline=None)
 def test_disabled_cache_matches_recompute(ops):
-    """``enabled=False`` must bypass memoization but stay correct."""
-    layer = _StubLayer(n_channels=1)
+    """``enabled=False`` recomputes every read but stays correct."""
+    layer = _StubLayer()
     cache = GapCache(layer, enabled=False)
-    for lo, hi, owner in ops:
-        try:
-            layer.channels[0].add(lo, hi, owner)
-        except ChannelConflictError:
-            pass
-        assert cache.gaps(0, 0, SPAN - 1, frozenset()) == layer.channels[
-            0
-        ].free_gaps(0, SPAN - 1)
+    _run_ops(cache, layer, ops)
     assert cache.hits == 0
     assert cache.misses > 0
-
-
-class TestSmallChannelBypass:
-    """Channels at or below the threshold skip memoization entirely."""
-
-    def _big_layer(self):
-        layer = _StubLayer(n_channels=1, span=100)
-        for i in range(17):  # 17 > SMALL_CHANNEL_SEGMENTS
-            layer.channels[0].add(i * 5, i * 5 + 1, owner=i)
-        return layer
-
-    def test_small_channel_counts_bypasses_not_misses(self):
-        layer = _StubLayer(n_channels=1)
-        layer.channels[0].add(5, 9, owner=1)
-        expected = [(0, 4), (10, SPAN - 1)]
-        cache = GapCache(layer)
-        assert cache.gaps(0, 0, SPAN - 1, frozenset()) == expected
-        assert cache.gaps(0, 0, SPAN - 1, frozenset()) == expected
-        assert cache.bypassed == 2
-        assert cache.hits == 0
-        assert cache.misses == 0
-
-    def test_big_channel_is_memoized(self):
-        layer = self._big_layer()
-        cache = GapCache(layer)
-        first = cache.gaps(0, 0, 99, frozenset())
-        assert cache.gaps(0, 0, 99, frozenset()) == first
-        assert cache.bypassed == 0
-        assert cache.misses == 1
-        assert cache.hits == 1
-
-    def test_growth_across_the_threshold_switches_paths(self):
-        layer = _StubLayer(n_channels=1, span=200)
-        cache = GapCache(layer)
-        for i in range(16):
-            layer.channels[0].add(i * 5, i * 5 + 1, owner=i)
-        cache.gaps(0, 0, 199, frozenset())
-        assert cache.bypassed == 1 and cache.misses == 0
-        layer.channels[0].add(180, 181, owner=99)  # 17th segment
-        cache.gaps(0, 0, 199, frozenset())
-        assert cache.bypassed == 1 and cache.misses == 1
-
-    def test_zero_threshold_memoizes_everything(self):
-        layer = _StubLayer(n_channels=1)
-        layer.channels[0].add(5, 9, owner=1)
-        cache = GapCache(layer)
-        cache.bypass_threshold = 0
-        cache.gaps(0, 0, SPAN - 1, frozenset())
-        assert cache.bypassed == 0
-        assert cache.misses == 1
-
-    def test_hit_rate_excludes_bypassed_requests(self):
-        layer = self._big_layer()
-        layer.channels.append(Channel())  # small channel, index 1
-        layer.channels[1].add(3, 4, owner=1)
-        cache = GapCache(layer)
-        cache.gaps(0, 0, 99, frozenset())
-        cache.gaps(0, 0, 99, frozenset())
-        for _ in range(10):
-            cache.gaps(1, 0, 99, frozenset())
-        assert cache.bypassed == 10
-        assert cache.hit_rate == 0.5  # 1 hit / (1 hit + 1 miss)
-        assert cache.requests == 12
-
-    def test_pickle_preserves_threshold(self):
-        layer = _StubLayer(n_channels=1)
-        cache = GapCache(layer)
-        cache.bypass_threshold = 3
-        restored = pickle.loads(pickle.dumps(cache))
-        assert restored.bypass_threshold == 3
-        assert restored.bypassed == 0
 
 
 class TestGenerations:
@@ -245,113 +172,64 @@ class TestGenerations:
     def test_mutation_invalidates_cached_entry(self):
         layer = _StubLayer(n_channels=1)
         cache = GapCache(layer)
-        cache.bypass_threshold = 0
-        before = cache.gaps(0, 0, SPAN - 1, frozenset())
+        passable = frozenset((7,))  # owns nothing: the base alias
+        before = cache.full_bounds(0, passable)[0]
         assert before == [(0, SPAN - 1)]
         layer.channels[0].add(10, 14, owner=1)
-        after = cache.gaps(0, 0, SPAN - 1, frozenset())
+        after = cache.full_bounds(0, passable)[0]
         assert after == [(0, 9), (15, SPAN - 1)]
+        assert cache.full_bounds(0, frozenset())[0] == after
 
     def test_repeat_reads_hit(self):
+        # A one-segment channel: no channel is too small to memoize.
         layer = _StubLayer(n_channels=1)
         layer.channels[0].add(5, 9, owner=1)
         cache = GapCache(layer)
-        cache.bypass_threshold = 0
-        cache.gaps(0, 0, SPAN - 1, frozenset())
+        cache.full_bounds(0, frozenset())
         misses = cache.misses
         for _ in range(5):
-            cache.gaps(0, 0, SPAN - 1, frozenset())
-        assert cache.misses == misses
-        assert cache.hits >= 5
+            cache.full_bounds(0, frozenset())
+        assert cache.misses == misses == 1
+        assert cache.hits == 5
 
-    def test_clip_derived_from_full_span_counts_as_hit(self):
-        layer = _StubLayer(n_channels=1)
-        layer.channels[0].add(5, 9, owner=1)
-        cache = GapCache(layer)
-        cache.bypass_threshold = 0
-        cache.graduate()  # promotion is a post-probation behaviour
-        cache.gaps(0, 0, SPAN - 1, frozenset())  # warm the full span
-        assert cache.gaps(0, 2, 7, frozenset()) == [(2, 4)]
-        assert cache.gaps(0, 7, 20, frozenset()) == [(10, 20)]
-        assert cache.misses == 1
-        assert cache.hits == 2
-
-
-class TestProbation:
-    """The self-judgment: boxed-only warmup, then graduate or bypass."""
-
+class TestPassableViews:
     def _layer(self):
         layer = _StubLayer(n_channels=1)
         layer.channels[0].add(5, 9, owner=1)
+        layer.channels[0].add(20, 24, owner=2)
         return layer
 
-    def test_probation_never_promotes_to_full_span(self):
+    def test_non_owning_passable_aliases_the_base_view(self):
         cache = GapCache(self._layer())
-        cache.bypass_threshold = 0
-        cache.gaps(0, 0, SPAN - 1, frozenset())  # would warm a full span
-        # A sub-box is served by clip-from-full only after graduation;
-        # on probation it is an independent boxed recompute.
-        assert cache.gaps(0, 2, 7, frozenset()) == [(2, 4)]
-        assert cache.misses == 2
-        assert cache.hits == 0
-
-    def test_probation_exact_repeats_still_hit(self):
-        cache = GapCache(self._layer())
-        cache.bypass_threshold = 0
-        first = cache.gaps(0, 2, 7, frozenset())
-        assert cache.gaps(0, 2, 7, frozenset()) == first
+        base = cache.full_bounds(0, frozenset())
+        assert cache.full_bounds(0, frozenset((7, 8))) is base
         assert (cache.misses, cache.hits) == (1, 1)
+        # The alias is stored: the next read is a plain store hit.
+        assert cache.full_bounds(0, frozenset((7, 8))) is base
+        assert (cache.misses, cache.hits) == (1, 2)
 
-    def test_verdict_bypasses_a_layer_that_never_repeats(self):
-        from repro.channels.gap_cache import ADAPTIVE_WARMUP_PROBES
-
-        layer = _StubLayer(n_channels=1, span=4 * ADAPTIVE_WARMUP_PROBES)
-        layer.channels[0].add(5, 9, owner=1)
-        cache = GapCache(layer)
-        cache.bypass_threshold = 0
-        # Every probe unique: the tally stays at zero repeats.
-        for i in range(ADAPTIVE_WARMUP_PROBES + 1):
-            cache.gaps(0, i, i + 2, frozenset())
-        assert cache.bypassed == 1  # the verdict probe itself
-        assert cache.misses == ADAPTIVE_WARMUP_PROBES
-        # ...and from here on every probe bypasses, hits stay frozen.
-        cache.gaps(0, 0, 2, frozenset())  # would have been an exact hit
-        assert cache.bypassed == 2
-        assert cache.hits == 0
-
-    def test_repeating_layer_graduates_and_promotes(self):
-        from repro.channels.gap_cache import ADAPTIVE_WARMUP_PROBES
-
+    def test_owning_passable_gets_its_own_view(self):
         cache = GapCache(self._layer())
-        cache.bypass_threshold = 0
-        for _ in range(ADAPTIVE_WARMUP_PROBES + 1):
-            cache.gaps(0, 2, 7, frozenset())  # 100% exact repeats
-        assert cache.bypassed == 0
-        # Graduated: a fresh box now promotes (second distinct box
-        # builds the full span, a third is served by clip-from-full).
+        own = cache.full_bounds(0, frozenset((1,)))
+        assert own[0] == [(0, 19), (25, SPAN - 1)]
+        assert cache.full_bounds(0, frozenset())[0] == [
+            (0, 4),
+            (10, 19),
+            (25, SPAN - 1),
+        ]
+        assert cache.misses == 2
+
+    def test_variant_cap_clears_the_passable_store(self):
+        cache = GapCache(self._layer())
+        sets = [frozenset((1, 100 + i)) for i in range(MAX_FULL_VARIANTS)]
+        for passable in sets:
+            cache.full_bounds(0, passable)
+        cache.full_bounds(0, sets[0])
+        assert cache.hits == 1
+        cache.full_bounds(0, frozenset((1, 99)))  # one past the cap
         misses = cache.misses
-        cache.gaps(0, 0, SPAN - 1, frozenset())
-        cache.gaps(0, 7, 20, frozenset())
+        cache.full_bounds(0, sets[0])  # evicted with the rest
         assert cache.misses == misses + 1
-        assert cache.gaps(0, 3, 8, frozenset()) == [(3, 4)]
-
-    def test_snapshot_restarts_probation_but_keeps_a_verdict(self):
-        from repro.channels.gap_cache import (
-            ADAPTIVE_WARMUP_PROBES,
-            _BYPASS_ALL,
-        )
-
-        layer = _StubLayer(n_channels=1, span=4 * ADAPTIVE_WARMUP_PROBES)
-        layer.channels[0].add(5, 9, owner=1)
-        cache = GapCache(layer)
-        cache.bypass_threshold = 0
-        for i in range(ADAPTIVE_WARMUP_PROBES + 1):
-            cache.gaps(0, i, i + 2, frozenset())
-        assert cache.bypass_threshold == _BYPASS_ALL
-        restored = pickle.loads(pickle.dumps(cache))
-        # The burned-in verdict travels; the tallies restart.
-        assert restored.bypass_threshold == _BYPASS_ALL
-        assert restored._probe_total == 0
 
 
 class TestRemoveDiagnostics:
@@ -388,9 +266,9 @@ class TestSnapshotSemantics:
         layer = _StubLayer(n_channels=1)
         layer.channels[0].add(3, 7, owner=1)
         cache = GapCache(layer)
-        cache.gaps(0, 0, SPAN - 1, frozenset())
-        cache.gaps(0, 0, SPAN - 1, frozenset())
-        assert cache.requests > 0
+        cache.full_bounds(0, frozenset())
+        cache.full_bounds(0, frozenset())
+        assert cache.hits + cache.misses > 0
         restored = pickle.loads(pickle.dumps(cache))
         assert restored.hits == 0
         assert restored.misses == 0
@@ -398,7 +276,7 @@ class TestSnapshotSemantics:
         # The generations travelled with the channels...
         assert restored.layer.channels[0].generation == 1
         # ...and the rebuilt cache still answers correctly.
-        assert restored.gaps(0, 0, SPAN - 1, frozenset()) == [
+        assert restored.full_bounds(0, frozenset())[0] == [
             (0, 2),
             (8, SPAN - 1),
         ]
@@ -406,7 +284,7 @@ class TestSnapshotSemantics:
     def test_workspace_snapshot_resets_cache(self, empty_board):
         ws = RoutingWorkspace(empty_board)
         ws.add_segment(0, 4, 2, 10, owner=1)
-        ws.layers[0].gap_cache.gaps(2, 0, 20, frozenset())
+        ws.layers[0].gap_cache.full_bounds(2, frozenset())
         snap = ws.snapshot()
         for layer in snap.layers:
             assert layer.gap_cache.hits == 0
@@ -420,7 +298,7 @@ class TestSnapshotSemantics:
     def test_workspace_cache_switch(self, empty_board):
         ws = RoutingWorkspace(empty_board, gap_cache=False)
         assert all(not layer.gap_cache.enabled for layer in ws.layers)
-        assert ws.gap_cache_stats() == (0, 0, 0)
+        assert ws.gap_cache_stats() == (0, 0)
 
 
 class TestCapSignal:
@@ -536,6 +414,8 @@ class TestCapSignal:
 
 
 class TestFreeSpaceView:
+    """The reference DFS's box-clipped view, and the kernel's counters."""
+
     def test_gap_index_at_matches_linear_scan(self, empty_workspace):
         ws = empty_workspace
         layer = ws.layers[0]
@@ -545,6 +425,7 @@ class TestFreeSpaceView:
             layer, Box(0, 0, ws.grid.nx - 1, ws.grid.ny - 1), frozenset()
         )
         gaps = fs.gaps(4)
+        assert gaps == [(0, 4), (10, 19), (25, layer.channel_length - 1)]
         for coord in range(0, layer.channel_length, 3):
             expected = None
             for i, (lo, hi) in enumerate(gaps):
@@ -565,12 +446,8 @@ class TestFreeSpaceView:
         assert result.complete
         counters = router.profile.counters
         assert counters.get("gap_cache_hits", 0) > 0
-        # On a near-empty board every channel is small enough for the
-        # bypass, so recomputes may surface as bypasses, not misses.
-        assert (
-            counters.get("gap_cache_misses", 0)
-            + counters.get("gap_cache_bypassed", 0)
-        ) > 0
+        assert counters.get("gap_cache_misses", 0) > 0
+        assert "gap_cache_bypassed" not in counters
 
 
 def _build_problem(seed: int = 3):

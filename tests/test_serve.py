@@ -460,6 +460,80 @@ class TestHttpEndpoints:
 
         self._run(scenario)
 
+    def test_undecodable_route_bodies_answer_400(self):
+        board_text, conn_text, _, _ = _board_texts()
+        bad_board = board_text.split("\n", 1)[0] + "\nbogus 1 2\n"
+
+        async def scenario(server, host, port):
+            for body, error in (
+                (
+                    {"board": bad_board, "connections": conn_text},
+                    "NetlistFormatError: line 2: unknown record 'bogus'",
+                ),
+                (
+                    {"board": board_text, "connections": "bogus\n"},
+                    "NetlistFormatError: line 1: bad connection record",
+                ),
+                (
+                    {"board": "(kicad_pcb (version 1)", "format": "kicad"},
+                    "KicadFormatError: ",
+                ),
+            ):
+                for wait in (True, False):
+                    status, payload = await _call(
+                        host, port, "POST", "/route", dict(body, wait=wait)
+                    )
+                    assert status == 400, payload
+                    assert payload["error"].startswith(error)
+            # Rejected before admission: no job was ever created.
+            _, health = await _call(host, port, "GET", "/healthz")
+            assert health["counters"].get("serve_accepts", 0) == 0
+
+        self._run(scenario)
+
+    def test_undecodable_eco_begin_bodies_answer_400(self):
+        board_text, conn_text, board, connections = _board_texts()
+        workspace = route(
+            request_from_text(board_text, conn_text)
+        ).result.workspace
+        buf = io.StringIO()
+        save_route_dump(workspace, buf)
+
+        async def scenario(server, host, port):
+            begin = {"session": "s", "board": board_text}
+            for body, error in (
+                (
+                    dict(begin, connections="bogus\n"),
+                    "NetlistFormatError: ",
+                ),
+                (
+                    dict(
+                        begin,
+                        board="(kicad_pcb (version 1)",
+                        format="kicad",
+                    ),
+                    "KicadFormatError: ",
+                ),
+                (
+                    dict(begin, connections=conn_text, routes="bogus\n"),
+                    "RouteDumpError: ",
+                ),
+            ):
+                status, payload = await _call(
+                    host, port, "POST", "/eco/begin", body
+                )
+                assert status == 400, payload
+                assert payload["error"].startswith(error)
+            # No half-made session is left behind: the name is free.
+            status, payload = await _call(
+                host, port, "POST", "/eco/begin",
+                dict(begin, connections=conn_text, routes=buf.getvalue()),
+            )
+            assert status == 200, payload
+            assert payload["adopted"] == len(connections)
+
+        self._run(scenario)
+
     def test_idle_sessions_are_evicted(self):
         board_text, conn_text, _, _ = _board_texts()
         config = ServeConfig(
