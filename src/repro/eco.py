@@ -290,20 +290,33 @@ class EcoSession:
         rules), strung by the same stringer batch routing uses, with
         fresh connection ids.  The new connections are pending until
         the next :meth:`reroute`.
+
+        The call is all or nothing: when a group names a claimed or
+        unknown pin, or an ECL group finds no free terminating resistor,
+        it raises :class:`EcoError` and leaves the board's nets, the
+        pins' ``net_id`` and the session's connections as they were,
+        including groups of the same call that were already strung.
         """
         self._check_open()
         if self.sink.enabled:
             self.sink.emit(EcoBegin("add_nets", len(pin_groups)))
-        stringer = Stringer(self.board)
+        board = self.board
+        n_nets = len(board.nets)
+        stringer = Stringer(board)
+        chains = []
+        try:
+            for pin_ids in pin_groups:
+                net = board.add_net(list(pin_ids), family=family)
+                chains.append(stringer.string_net(net))
+        except ValueError as exc:  # claimed/unknown pin, StringingError
+            for net in board.nets[n_nets:]:
+                for pin_id in net.pin_ids:
+                    board.pins[pin_id].net_id = -1
+            del board.nets[n_nets:]
+            raise EcoError(str(exc)) from exc
+        new_nets = board.nets[n_nets:]
         added: List[int] = []
-        new_nets: List[int] = []
-        for pin_ids in pin_groups:
-            try:
-                net = self.board.add_net(list(pin_ids), family=family)
-            except ValueError as exc:
-                raise EcoError(str(exc)) from exc
-            new_nets.append(net.net_id)
-            chain = stringer.string_net(net)
+        for net, chain in zip(new_nets, chains):
             new_conns = stringer.connections_for_chain(
                 net, chain, start_id=self._next_conn_id
             )
@@ -317,7 +330,7 @@ class EcoSession:
             op="add_nets",
             invalidated=tuple(added),
             added=tuple(added),
-            net_ids=tuple(new_nets),
+            net_ids=tuple(net.net_id for net in new_nets),
         )
 
     def cut_nets(self, net_ids: Sequence[int]) -> EcoStats:

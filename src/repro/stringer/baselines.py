@@ -7,7 +7,7 @@ difference in the run times."
 from __future__ import annotations
 
 import random
-from typing import List, Set
+from typing import List
 
 from repro.board.board import Board
 from repro.board.nets import Connection
@@ -23,7 +23,7 @@ def random_stringing(board: Board, seed: int = 0) -> List[Connection]:
     """
     rng = random.Random(seed)
     connections: List[Connection] = []
-    reserved: Set[int] = set()
+    free = board.free_terminator_pins()
     for net in board.signal_nets:
         pins = [board.pins[i] for i in net.pin_ids]
         if len(pins) < 2:
@@ -31,17 +31,12 @@ def random_stringing(board: Board, seed: int = 0) -> List[Connection]:
         chain = list(pins)
         rng.shuffle(chain)
         if net.family.needs_termination:
-            candidates = [
-                p
-                for p in board.free_terminator_pins()
-                if p.pin_id not in reserved
-            ]
-            if not candidates:
+            if not free:
                 raise StringingError(
                     f"no free terminating resistor for net {net.name}"
                 )
-            terminator = rng.choice(candidates)
-            reserved.add(terminator.pin_id)
+            terminator = rng.choice(free)
+            free.remove(terminator)
             terminator.net_id = net.net_id
             net.pin_ids.append(terminator.pin_id)
             chain.append(terminator)

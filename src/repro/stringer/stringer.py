@@ -12,12 +12,17 @@ Net ordering is known to matter enormously — the paper reports a factor of
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.board.board import Board
 from repro.board.nets import Connection, Net
 from repro.board.parts import Pin, PinRole
 from repro.grid.coords import manhattan
+
+
+#: Side, in via-grid cells, of the square buckets of the free-terminator
+#: index.
+TERMINATOR_BUCKET = 8
 
 
 class StringingError(ValueError):
@@ -33,10 +38,23 @@ def chain_length(pins: Sequence[Pin]) -> int:
 
 
 class Stringer:
-    """Prepares router input from a board's signal nets."""
+    """Prepares router input from a board's signal nets.
+
+    The nearest free terminating resistor comes from a bucketed index of
+    the terminator pins that were unclaimed when the first terminator
+    query ran.  Pins claimed after that are filtered out at query time;
+    pins freed after that are *not* seen.  A stringer therefore serves
+    one pass over an unchanging board — :meth:`string_all`, or one
+    :meth:`~repro.eco.EcoSession.add_nets` call — and a board edited
+    between passes needs a fresh one.
+    """
 
     def __init__(self, board: Board) -> None:
         self.board = board
+        #: Bucket cell -> free terminator pins in it; built lazily.
+        self._buckets: Optional[Dict[Tuple[int, int], List[Pin]]] = None
+        #: (min cx, min cy, max cx, max cy) over the occupied cells.
+        self._span = (0, 0, 0, 0)
 
     # ------------------------------------------------------------------
     # per-net chaining
@@ -63,21 +81,62 @@ class Stringer:
                 chain.append(nearest)
         return chain
 
+    def _terminator_buckets(self) -> Dict[Tuple[int, int], List[Pin]]:
+        """The free-terminator index, built by one pass over the pins."""
+        if self._buckets is None:
+            buckets: Dict[Tuple[int, int], List[Pin]] = {}
+            for p in self.board.pins:
+                if p.role is PinRole.TERMINATOR and p.net_id == -1:
+                    cell = (
+                        p.position[0] // TERMINATOR_BUCKET,
+                        p.position[1] // TERMINATOR_BUCKET,
+                    )
+                    buckets.setdefault(cell, []).append(p)
+            if buckets:
+                xs = [cx for cx, _ in buckets]
+                ys = [cy for _, cy in buckets]
+                self._span = (min(xs), min(ys), max(xs), max(ys))
+            self._buckets = buckets
+        return self._buckets
+
     def _nearest_free_terminator(
         self, position, reserved: Set[int]
     ) -> Optional[Pin]:
-        """Nearest unclaimed terminating-resistor pin."""
-        candidates = [
-            p
-            for p in self.board.free_terminator_pins()
-            if p.pin_id not in reserved
-        ]
-        if not candidates:
+        """Nearest unclaimed terminating-resistor pin.
+
+        Ties break on the lower ``pin_id``.  The search visits rings of
+        bucket cells at growing Chebyshev distance ``r`` from the query's
+        cell; every pin in ring ``r >= 1`` is at least
+        ``(r - 1) * TERMINATOR_BUCKET + 1`` away, so the search stops once
+        that bound exceeds the best distance found.
+        """
+        buckets = self._terminator_buckets()
+        if not buckets:
             return None
-        return min(
-            candidates,
-            key=lambda p: (manhattan(position, p.position), p.pin_id),
-        )
+        cx = position[0] // TERMINATOR_BUCKET
+        cy = position[1] // TERMINATOR_BUCKET
+        lo_x, lo_y, hi_x, hi_y = self._span
+        best: Optional[Pin] = None
+        best_key = None
+        for r in range(max(cx - lo_x, hi_x - cx, cy - lo_y, hi_y - cy) + 1):
+            if best_key is not None and (
+                (r - 1) * TERMINATOR_BUCKET + 1 > best_key[0]
+            ):
+                break
+            for cell in _ring(cx, cy, r, self._span):
+                pins = buckets.get(cell)
+                if not pins:
+                    continue
+                live = [p for p in pins if p.net_id == -1]
+                if len(live) < len(pins):
+                    buckets[cell] = live
+                for p in live:
+                    if p.pin_id in reserved:
+                        continue
+                    key = (manhattan(position, p.position), p.pin_id)
+                    if best_key is None or key < best_key:
+                        best, best_key = p, key
+        return best
 
     def string_net(
         self, net: Net, reserved_terminators: Optional[Set[int]] = None
@@ -160,3 +219,21 @@ class Stringer:
                 )
             )
         return connections
+
+
+def _ring(cx: int, cy: int, r: int, span: Tuple[int, int, int, int]):
+    """Cells at Chebyshev distance ``r`` from ``(cx, cy)`` inside ``span``."""
+    lo_x, lo_y, hi_x, hi_y = span
+    if r == 0:
+        yield cx, cy
+        return
+    x0, x1 = max(cx - r, lo_x), min(cx + r, hi_x)
+    for y in (cy - r, cy + r):
+        if lo_y <= y <= hi_y:
+            for x in range(x0, x1 + 1):
+                yield x, y
+    y0, y1 = max(cy - r + 1, lo_y), min(cy + r - 1, hi_y)
+    for x in (cx - r, cx + r):
+        if lo_x <= x <= hi_x:
+            for y in range(y0, y1 + 1):
+                yield x, y

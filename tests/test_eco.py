@@ -13,6 +13,7 @@ import pytest
 from repro.api import RouteRequest, begin_eco, reroute, route
 from repro.board.board import Board, PlacementError
 from repro.board.parts import PinRole, sip_package
+from repro.board.technology import LogicFamily
 from repro.core.budget import STOP_DEADLINE, RouteBudget
 from repro.core.result import Strategy
 from repro.core.router import RouterConfig
@@ -189,6 +190,40 @@ class TestAddNets:
             net = session.board.signal_nets[0]
             with pytest.raises(EcoError, match="already belongs"):
                 session.add_nets([list(net.pin_ids[:2])])
+
+    def test_no_free_terminator_rejects_and_leaves_the_session_unchanged(
+        self,
+    ):
+        session, _, _ = _routed_session()
+        with session:
+            board = session.board
+            terminators = [p.pin_id for p in board.free_terminator_pins()]
+            # A TTL net needs no terminator: it claims all but one.
+            session.add_nets([terminators[1:]], family=LogicFamily.TTL)
+            a, b, c, d = [
+                p.pin_id
+                for p in board.pins
+                if p.net_id == -1 and p.role is not PinRole.TERMINATOR
+            ][:4]
+
+            def state():
+                return (
+                    [list(net.pin_ids) for net in board.nets],
+                    [p.net_id for p in board.pins],
+                    [c.conn_id for c in session.connections],
+                    set(session.pending),
+                )
+
+            before = state()
+            # The first group takes the last terminator; the second
+            # finds none, and the whole call is undone.
+            with pytest.raises(EcoError, match="no free terminating"):
+                session.add_nets([[a, b], [c, d]])
+            assert state() == before
+            # The pins are free again, and fresh ids continue unbroken.
+            stats = session.add_nets([[a, b]])
+            assert stats.net_ids == (len(before[0]),)
+            assert min(stats.added) == max(before[2]) + 1
 
 
 class TestMovePart:

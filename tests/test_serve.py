@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from repro.api import request_from_text, route
+from repro.board.parts import PinRole
 from repro.core.budget import RouteBudget
 from repro.io import save_route_dump, write_board, write_connections
 from repro.obs.events import PassStart
@@ -404,6 +405,77 @@ class TestHttpEndpoints:
                 host, port, "POST", "/eco/reroute", {"session": "warm"}
             )
             assert status == 404
+
+        self._run(scenario)
+
+    def test_add_without_a_free_terminator_answers_422(self):
+        board_text, conn_text, board, connections = _board_texts()
+        terminators = [p.pin_id for p in board.free_terminator_pins()]
+        a, b, c, d = [
+            p.pin_id
+            for p in board.pins
+            if p.net_id == -1 and p.role is not PinRole.TERMINATOR
+        ][:4]
+
+        async def scenario(server, host, port):
+            status, _ = await _call(
+                host, port, "POST", "/eco/begin",
+                {
+                    "session": "s",
+                    "board": board_text,
+                    "connections": conn_text,
+                },
+            )
+            assert status == 200
+            # A TTL net needs no terminator: it claims all but one.
+            status, payload = await _call(
+                host, port, "POST", "/eco/mutate",
+                {
+                    "session": "s",
+                    "ops": [
+                        {
+                            "op": "add_nets",
+                            "pin_groups": [terminators[1:]],
+                            "family": "TTL",
+                        }
+                    ],
+                },
+            )
+            assert status == 200
+            (ttl_net,) = payload["applied"][0]["net_ids"]
+            status, payload = await _call(
+                host, port, "POST", "/eco/mutate",
+                {
+                    "session": "s",
+                    "ops": [
+                        {"op": "add_nets", "pin_groups": [[a, b], [c, d]]}
+                    ],
+                },
+            )
+            assert status == 422
+            assert "no free terminating" in payload["error"]
+            # Nothing of the rejected call stuck: its pins and the last
+            # terminator are free for the same net again.
+            status, payload = await _call(
+                host, port, "POST", "/eco/mutate",
+                {
+                    "session": "s",
+                    "ops": [
+                        {"op": "cut_nets", "nets": [ttl_net]},
+                        {"op": "add_nets", "pin_groups": [[a, b]]},
+                    ],
+                },
+            )
+            assert status == 200
+            added = payload["applied"][1]["added"]
+            assert payload["pending"] == len(added) == 2
+            status, payload = await _call(
+                host, port, "POST", "/eco/reroute", {"session": "s"}
+            )
+            assert status == 200
+            result = payload["result"]
+            assert result["complete"] is True
+            assert result["total"] == len(connections) + len(added)
 
         self._run(scenario)
 

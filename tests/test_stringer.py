@@ -1,5 +1,7 @@
 """Unit tests for the stringer (Section 3)."""
 
+from functools import partial
+
 import pytest
 
 from repro.board.board import Board
@@ -9,6 +11,14 @@ from repro.board.technology import LogicFamily
 from repro.grid.coords import ViaPoint, manhattan
 from repro.stringer import Stringer, StringingError, random_stringing
 from repro.stringer.stringer import chain_length
+from repro.workloads import (
+    BoardSpec,
+    NetlistSpec,
+    generate_board,
+    make_titan_board,
+)
+
+from tests import oracle_stringer as oracle
 
 
 @pytest.fixture
@@ -203,3 +213,65 @@ class TestRandomStringing:
             rand = random_stringing(board2, seed=seed)
             random_total += sum(manhattan(c.a, c.b) for c in rand)
         assert greedy_total < random_total
+
+
+def _local160(seed=1):
+    """The 160x160 six-layer local-net board of the perfbench bulk run."""
+    return generate_board(
+        BoardSpec(
+            via_nx=160,
+            via_ny=160,
+            n_signal_layers=6,
+            netlist=NetlistSpec(locality=0.9, local_radius=11, seed=seed),
+            seed=seed,
+        )
+    )
+
+
+def _strung(board, connections):
+    return (
+        [(c.conn_id, c.net_id, c.pin_a, c.pin_b) for c in connections],
+        [list(net.pin_ids) for net in board.nets],
+    )
+
+
+class TestTerminatorIndexParity:
+    """The indexed stringer strings whole boards exactly like the scan."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _local160,
+            partial(make_titan_board, "kdj11_2l", scale=0.30, seed=1),
+            partial(make_titan_board, "coproc", scale=0.35, seed=1),
+            partial(make_titan_board, "dpath", scale=0.45, seed=1),
+        ],
+        ids=["local160", "kdj11_2l", "coproc", "dpath"],
+    )
+    def test_string_all_matches_the_scan(self, make, monkeypatch):
+        board = make()
+        fast = _strung(board, Stringer(board).string_all())
+        board = make()
+        monkeypatch.setattr(
+            Stringer,
+            "_nearest_free_terminator",
+            oracle.nearest_free_terminator,
+        )
+        assert fast == _strung(board, Stringer(board).string_all())
+
+    def test_string_all_never_scans_the_board(self, monkeypatch):
+        board = _local160()
+
+        def scan(self):
+            raise AssertionError("free_terminator_pins called")
+
+        monkeypatch.setattr(Board, "free_terminator_pins", scan)
+        assert Stringer(board).string_all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_stringing_matches_the_reference(self, seed):
+        make = partial(make_titan_board, "coproc", scale=0.35, seed=1)
+        board = make()
+        fast = _strung(board, random_stringing(board, seed=seed))
+        board = make()
+        assert fast == _strung(board, oracle.random_stringing(board, seed))

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.board.board import Board
 from repro.board.parts import PinRole, sip_package
 from repro.grid.coords import ViaPoint, manhattan
-from repro.stringer import Stringer
+from repro.stringer import Stringer, StringingError
+from repro.stringer.stringer import TERMINATOR_BUCKET
 
+from tests import oracle_stringer as oracle
 from tests.conftest import scaled
 
 VIA_N = 24
@@ -121,3 +126,181 @@ def test_terminator_is_near_chain_end(problem):
     ]
     best = min(manhattan(tail, t.position) for t in terminators)
     assert manhattan(tail, chosen.position) == best
+
+
+# ----------------------------------------------------------------------
+# the free-terminator index against the whole-board scan
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def terminator_layout(draw):
+    """Terminator sites, a query sequence, and claims between queries.
+
+    Queries often sit on a bucket edge.  Sites are spread over the
+    board, packed next to the first query, or only near the board's
+    corners (so the nearest one sits several bucket rings out).  Some
+    sites get a mirror image through the first query point, so equal
+    distances with different ``pin_id`` values are common, also across
+    a bucket edge.
+    """
+    n = draw(st.sampled_from([6, 3 * TERMINATOR_BUCKET, 100]))
+    edge = st.integers(0, n // TERMINATOR_BUCKET).flatmap(
+        lambda k: st.sampled_from(
+            [k * TERMINATOR_BUCKET - 1, k * TERMINATOR_BUCKET]
+        )
+    )
+    coord = st.one_of(st.integers(0, n - 1), edge).map(
+        lambda v: min(max(v, 0), n - 1)
+    )
+    queries = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    qx, qy = queries[0]
+    kind = draw(st.sampled_from(["spread", "near", "corners"]))
+    if kind == "corners":
+        near = st.integers(0, 2)
+        site = st.tuples(near, near, st.booleans(), st.booleans()).map(
+            lambda t: (n - 1 - t[0] if t[2] else t[0],
+                       n - 1 - t[1] if t[3] else t[1])
+        )
+    elif kind == "near":
+        offset = st.integers(-TERMINATOR_BUCKET, TERMINATOR_BUCKET)
+        site = st.tuples(offset, offset).map(
+            lambda d: (min(max(qx + d[0], 0), n - 1),
+                       min(max(qy + d[1], 0), n - 1))
+        )
+    else:
+        site = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    sites = draw(st.lists(site, max_size=25, unique=True))
+    for x, y in list(sites):
+        mirror = (2 * qx - x, 2 * qy - y)
+        if (
+            0 <= mirror[0] < n
+            and 0 <= mirror[1] < n
+            and mirror not in sites
+            and draw(st.booleans())
+        ):
+            sites.append(mirror)
+    sites = draw(st.permutations(sites))
+    if sites:
+        picks = st.sets(st.sampled_from(range(len(sites))), max_size=3)
+    else:
+        picks = st.just(set())
+    steps = [(query, draw(picks), draw(picks)) for query in queries]
+    return n, sites, steps
+
+
+@given(terminator_layout())
+@settings(max_examples=scaled(200), deadline=None)
+def test_indexed_terminator_matches_the_scan(layout):
+    """Same pin (or ``None``) as the scan, query after query.
+
+    Each step asks with a random ``reserved`` set, then claims a random
+    set of terminators: later queries must skip them.
+    """
+    n, sites, steps = layout
+    # Two spare columns on the right hold an ECL net for the final
+    # no-terminator check.
+    board = Board.create(via_nx=n + 2, via_ny=n, n_signal_layers=2)
+    terminators = [
+        board.add_part(
+            sip_package(1), ViaPoint(x, y), roles=[PinRole.TERMINATOR]
+        ).pins[0]
+        for x, y in sites
+    ]
+    stringer = Stringer(board)
+    for query, reserved, claims in steps:
+        position = ViaPoint(*query)
+        reserved = {terminators[i].pin_id for i in reserved}
+        got = stringer._nearest_free_terminator(position, reserved)
+        want = oracle.nearest_free_terminator(stringer, position, reserved)
+        assert got is want
+        claimed = [
+            terminators[i].pin_id
+            for i in sorted(claims)
+            if terminators[i].net_id == -1
+        ]
+        if claimed:
+            board.add_net(claimed)
+    for p in board.free_terminator_pins():
+        board.add_net([p.pin_id])
+    assert stringer._nearest_free_terminator(ViaPoint(0, 0), set()) is None
+    out = board.add_part(
+        sip_package(1), ViaPoint(n, 0), roles=[PinRole.OUTPUT]
+    ).pins[0]
+    inp = board.add_part(
+        sip_package(1), ViaPoint(n + 1, 0), roles=[PinRole.INPUT]
+    ).pins[0]
+    net = board.add_net([out.pin_id, inp.pin_id])
+    with pytest.raises(StringingError):
+        stringer.string_net(net)
+
+
+def test_every_query_point_matches_the_scan():
+    """Exhaustive over query points on small random layouts.
+
+    Every point of a board three buckets wide, once with nothing
+    reserved and once with the scan's answer reserved (so the runner-up
+    must be found too).
+    """
+    n = 3 * TERMINATOR_BUCKET + 3
+    for seed in range(6):
+        rng = random.Random(seed)
+        board = Board.create(via_nx=n, via_ny=n, n_signal_layers=2)
+        sites = rng.sample([(x, y) for x in range(n) for y in range(n)], 6)
+        for x, y in sites:
+            board.add_part(
+                sip_package(1), ViaPoint(x, y), roles=[PinRole.TERMINATOR]
+            )
+        stringer = Stringer(board)
+        for x in range(n):
+            for y in range(n):
+                position = ViaPoint(x, y)
+                first = oracle.nearest_free_terminator(
+                    stringer, position, set()
+                )
+                second = oracle.nearest_free_terminator(
+                    stringer, position, {first.pin_id}
+                )
+                assert stringer._nearest_free_terminator(
+                    position, set()
+                ) is first
+                assert stringer._nearest_free_terminator(
+                    position, {first.pin_id}
+                ) is second
+
+
+def test_equal_distance_ties_break_on_pin_id():
+    """Two terminators at the same distance on either side of the query.
+
+    Every query point of a row or column, every distance out to two
+    buckets, with the smaller ``pin_id`` on either side: the index must
+    look past a bucket edge for an equally near pin with a smaller id.
+    """
+    n = 3 * TERMINATOR_BUCKET + 3
+    for vertical in (False, True):
+        for descending in (False, True):
+            board = Board.create(via_nx=n, via_ny=n, n_signal_layers=2)
+            order = range(n - 1, -1, -1) if descending else range(n)
+            line = {}
+            for i in order:
+                at = ViaPoint(0, i) if vertical else ViaPoint(i, 0)
+                line[i] = board.add_part(
+                    sip_package(1), at, roles=[PinRole.TERMINATOR]
+                ).pins[0]
+            everyone = {p.pin_id for p in line.values()}
+            stringer = Stringer(board)
+            for d in range(1, 2 * TERMINATOR_BUCKET + 2):
+                for i in range(d, n - d):
+                    position = ViaPoint(0, i) if vertical else ViaPoint(i, 0)
+                    reserved = everyone - {
+                        line[i - d].pin_id, line[i + d].pin_id
+                    }
+                    want = min(
+                        line[i - d], line[i + d], key=lambda p: p.pin_id
+                    )
+                    assert oracle.nearest_free_terminator(
+                        stringer, position, reserved
+                    ) is want
+                    assert stringer._nearest_free_terminator(
+                        position, reserved
+                    ) is want
