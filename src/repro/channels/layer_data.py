@@ -51,6 +51,18 @@ class LayerData:
         #: Generation-stamped free-gap memo shared by every search on
         #: this layer (see :mod:`repro.channels.gap_cache`).
         self.gap_cache = GapCache(self)
+        #: The native kernel module (:mod:`repro.core.fastpath`) running
+        #: this layer's *Trace*/*Vias* searches, or None for the scalar
+        #: kernel.  Routers set it for their backend; copies start on the
+        #: scalar kernel until their router sets it again.
+        self.kernel = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        # A module does not pickle; snapshot and spawn-worker copies
+        # are switched to their router's backend when it routes.
+        state["kernel"] = None
+        return state
 
     # ------------------------------------------------------------------
     # coordinate mapping

@@ -27,7 +27,7 @@ from typing import List, Optional
 from repro.analysis import format_table, table1_row
 from repro.channels.workspace import RoutingWorkspace
 from repro.core.bounds import SEARCH_MODES
-from repro.core.fastpath import BACKENDS
+from repro.core.fastpath import BACKENDS, BackendUnavailable
 from repro.core.router import GreedyRouter, RouterConfig, make_router
 from repro.io import (
     FORMAT_KICAD,
@@ -647,9 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=None,
-        help="search kernel backend; both values run the one scalar "
-        "kernel (the numpy backend was removed) (default: GRR_BACKEND "
-        "env, else python)",
+        help="Trace/Vias search kernel: 'native' is the C kernel built on "
+        "import, 'python' the scalar kernel, 'auto' native when it built "
+        "(default: GRR_BACKEND env, else auto)",
     )
     p.add_argument(
         "--search",
@@ -894,7 +894,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``grr`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BackendUnavailable as exc:
+        # e.g. --backend native where the C kernel could not be built.
+        print(f"grr: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

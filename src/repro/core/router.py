@@ -66,8 +66,8 @@ def _audit_default() -> bool:
 
 
 def _backend_default() -> str:
-    """Search backend from ``GRR_BACKEND``, else ``"python"``."""
-    return os.environ.get("GRR_BACKEND", "") or "python"
+    """Search backend from ``GRR_BACKEND``, else ``"auto"``."""
+    return os.environ.get("GRR_BACKEND", "") or "auto"
 
 
 def _search_default() -> str:
@@ -146,9 +146,10 @@ class RouterConfig:
     #: (and after every parallel merge), raising on any violation.
     #: Defaults on when the ``GRR_AUDIT`` environment variable is set.
     audit: bool = field(default_factory=_audit_default)
-    #: Search-kernel backend: ``"auto"`` or ``"python"``, both the one
-    #: scalar kernel (the numpy backend was removed; asking for it
-    #: raises, see :func:`repro.core.fastpath.resolve_backend`).
+    #: *Trace*/*Vias* kernel: ``"auto"`` (native when the C kernel
+    #: built, else python), ``"native"`` (raises
+    #: :class:`repro.core.fastpath.BackendUnavailable` without it) or
+    #: ``"python"`` (the scalar kernel); see :mod:`repro.core.fastpath`.
     #: Defaults from the ``GRR_BACKEND`` environment variable.
     backend: str = field(default_factory=_backend_default)
     #: Lee wavefront mode: ``"classic"`` (the paper's ``distance *
@@ -228,7 +229,7 @@ class GreedyRouter:
         self.board = board
         self.config = config or RouterConfig()
         self.workspace = workspace or RoutingWorkspace(board)
-        #: The resolved search backend, reported per route().
+        #: The resolved search backend, applied and reported per route().
         self.backend = fastpath.resolve_backend(self.config.backend)
         #: Routing event stream (repro.obs); the null sink by default.
         self.sink = sink if sink is not None else NULL_SINK
@@ -271,9 +272,16 @@ class GreedyRouter:
         previous = len(unrouted) + 1
         stalled = 0
         sink = self.sink
+        fastpath.use_backend(self.workspace, self.backend)
         self.profile.bump(f"backend_{self.backend}", 1)
         if sink.enabled:
-            sink.emit(BackendSelected(cfg.backend, self.backend))
+            sink.emit(
+                BackendSelected(
+                    cfg.backend,
+                    self.backend,
+                    fastpath.backend_reason(self.backend),
+                )
+            )
         cache_before = self.workspace.gap_cache_stats()
         bounds_before = self.workspace.bounds_stats()
         while unrouted and result.passes < cfg.max_passes:

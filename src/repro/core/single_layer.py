@@ -21,7 +21,15 @@ parity suites hold them to bit for bit (results, emission order,
 :class:`SearchStats`, via-map probes).  ``trace`` and ``reachable_vias``
 run on the router's hottest path (every Lee expansion calls *Vias* once
 per layer); ``obstructions``, the kernel's third user, runs the *Vias*
-DFS and reads owners around each popped gap:
+DFS and reads owners around each popped gap.
+
+The *Trace* and *Vias* loops, :func:`_trace_dfs` and :func:`_vias_dfs`,
+also have a bit-for-bit C port (``_kernel.c``, built and loaded by
+:mod:`repro.core.fastpath`) with the same arguments and results.  Each
+layer's ``kernel`` attribute picks one: None runs the loops here, the
+native module runs its port; a router sets it for its resolved
+``RouterConfig.backend`` (``auto|native|python``).  The prologue, the
+memo and the chain trim below run in python either way.
 
 * **Full-span views.**  The DFS walks each channel's whole-length gap
   arrays (:meth:`repro.channels.gap_cache.GapCache.full_bounds`, one
@@ -128,7 +136,8 @@ def trace(
     dozen pops; exhaustion truncates the search exactly like the cap.
 
     The DFS pops the child nearest the destination first; it runs over
-    full-span gap views clamped to the box (see the module docstring).
+    full-span gap views clamped to the box (see the module docstring),
+    on the layer's kernel (:func:`_trace_dfs` or its native port).
     """
     ca, xa = layer.point_cc(a)
     cb, xb = layer.point_cc(b)
@@ -139,17 +148,41 @@ def trace(
     ):
         return None
     full_bounds = layer.gap_cache.full_bounds
-    stride = layer.channel_length + 1
-    # Per-search view memo, indexed by channel offset from the box edge
-    # (a list probe beats a dict probe on this hottest of lookups).
-    views: list = [None] * (c_hi - c_lo + 1)
-    start_view = views[ca - c_lo] = full_bounds(ca, passable)
+    start_view = full_bounds(ca, passable)
     los_s = start_view[1]
     si = bisect_right(los_s, xa) - 1
     if si < 0 or start_view[2][si] < xa:
         return None
-    start_lo = max(los_s[si], lo)
-    start_hi = min(start_view[2][si], hi)
+    kernel = layer.kernel
+    dfs = _trace_dfs if kernel is None else kernel.trace_dfs
+    chain, examined, capped = dfs(
+        full_bounds, passable, start_view, layer.channel_length + 1,
+        ca, si, max(los_s[si], lo), min(start_view[2][si], hi),
+        c_lo, c_hi, lo, hi, cb, xb, max_gaps,
+        None if budget is None else budget.search_exceeded,
+    )
+    if stats is not None:
+        stats.note(examined, capped)
+    if chain is None:
+        return None
+    return _trim_chain(chain, xa, xb)
+
+
+def _trace_dfs(
+    full_bounds, passable, start_view, stride, ca, si, start_lo, start_hi,
+    c_lo, c_hi, lo, hi, cb, xb, max_gaps, search_exceeded,
+) -> Tuple[Optional[List[Tuple[int, int, int]]], int, bool]:
+    """The *Trace* DFS from gap ``si`` of channel ``ca`` towards ``(cb, xb)``.
+
+    Returns ``(chain, examined, capped)``: the box-clamped ``(channel,
+    lo, hi)`` gaps from source to destination (None when not found),
+    the gaps popped, and whether the cap or ``search_exceeded`` cut the
+    search short.  ``_kernel.c``'s ``trace_dfs`` is a port of this loop.
+    """
+    # Per-search view memo, indexed by channel offset from the box edge
+    # (a list probe beats a dict probe on this hottest of lookups).
+    views: list = [None] * (c_hi - c_lo + 1)
+    views[ca - c_lo] = start_view
     start_key = ca * stride + si
     parents = {start_key: -1}
     goal = -1
@@ -162,7 +195,6 @@ def trace(
     extend = stack.extend
     examined = 0
     capped = False
-    search_exceeded = None if budget is None else budget.search_exceeded
     while stack and goal < 0:
         key, c, glo, ghi = pop()
         examined += 1
@@ -219,10 +251,8 @@ def trace(
         # last, so the DFS pops it first.
         children.sort(key=_negate_first)
         extend(item[1] for item in children)
-    if stats is not None:
-        stats.note(examined, capped)
     if goal < 0:
-        return None
+        return None, examined, capped
     chain: List[Tuple[int, int, int]] = []
     node = goal
     while node >= 0:
@@ -231,7 +261,7 @@ def trace(
         chain.append((c, max(view[1][gi], lo), min(view[2][gi], hi)))
         node = parents[node]
     chain.reverse()
-    return _trim_chain(chain, xa, xb)
+    return chain, examined, capped
 
 
 def _negate_first(item: Tuple[int, tuple]) -> int:
@@ -290,26 +320,24 @@ def reachable_vias(
     docstring): every call sharing it must see the same board, passable
     set and ``max_gaps``.  A hit replays the stored search into
     ``stats`` instead of running it.  The returned list is always the
-    caller's own.
+    caller's own.  The search runs on the layer's kernel
+    (:func:`_vias_dfs` or its native port).
     """
     ca, xa = layer.point_cc(a)
     c_lo, c_hi, lo, hi = _clip_box(layer, box)
     if not (c_lo <= ca <= c_hi and lo <= xa <= hi):
         return []
     grid = layer.grid
-    g = grid.grid_per_via
     a_via = grid.grid_to_via(a) if grid.is_via_site(a) else None
     full_bounds = layer.gap_cache.full_bounds
     stride = layer.channel_length + 1
-    views: list = [None] * (c_hi - c_lo + 1)
-    start_view = views[ca - c_lo] = full_bounds(ca, passable)
+    start_view = full_bounds(ca, passable)
     los_s = start_view[1]
     si = bisect_right(los_s, xa) - 1
     if si < 0 or start_view[2][si] < xa:
         return []
-    start_key = ca * stride + si
     if memo is not None:
-        memo_key = (layer, c_lo, c_hi, lo, hi, start_key)
+        memo_key = (layer, c_lo, c_hi, lo, hi, ca * stride + si)
         stored = memo.get(memo_key)
         if stored is not None:
             sites, examined = stored
@@ -317,16 +345,56 @@ def reachable_vias(
                 stats.note(examined, False)
                 stats.memo_hits += 1
             return _without(sites, a_via)
-    seen = {start_key}
+        # Stored with ``a``'s own site probed and kept: another via in
+        # the same start gap replays this entry, and for it that site
+        # counts.
+        skip = None
+    else:
+        skip = a_via
+    kernel = layer.kernel
+    dfs = _vias_dfs if kernel is None else kernel.vias_dfs
+    sites, examined, capped = dfs(
+        full_bounds, passable, start_view, stride,
+        ca, si, max(los_s[si], lo), min(start_view[2][si], hi),
+        c_lo, c_hi, lo, hi, grid.grid_per_via, max_gaps,
+        None if budget is None else budget.search_exceeded,
+        via_map, layer.orientation is Orientation.HORIZONTAL,
+        -1 if skip is None else skip.vx,
+        -1 if skip is None else skip.vy,
+    )
+    if stats is not None:
+        stats.note(examined, capped)
+    if memo is None:
+        return sites
+    if not capped:
+        memo[memo_key] = (sites, examined)
+    return _without(sites, a_via)
+
+
+def _vias_dfs(
+    full_bounds, passable, start_view, stride, ca, si, start_lo, start_hi,
+    c_lo, c_hi, lo, hi, g, max_gaps, search_exceeded,
+    via_map, horizontal, skip_vx, skip_vy,
+) -> Tuple[List[ViaPoint], int, bool]:
+    """The *Vias* DFS from gap ``si`` of channel ``ca``, then its sites.
+
+    Returns ``(sites, examined, capped)``: the available via sites of
+    the popped via-channel gaps (:func:`_collect_sites`, skipping
+    ``(skip_vx, skip_vy)``), the gaps popped, and whether the cap or
+    ``search_exceeded`` cut the search short.  ``_kernel.c``'s
+    ``vias_dfs`` is a port of this loop.
+    """
+    views: list = [None] * (c_hi - c_lo + 1)
+    views[ca - c_lo] = start_view
+    seen = {ca * stride + si}
     seen_add = seen.add
     # Stack entries carry (channel, clamped lo, clamped hi); the packed
     # int key exists only inside ``seen``, so a pop touches no view.
-    stack = [(ca, max(los_s[si], lo), min(start_view[2][si], hi))]
+    stack = [(ca, start_lo, start_hi)]
     pop = stack.pop
     append = stack.append
     examined = 0
     capped = False
-    search_exceeded = None if budget is None else budget.search_exceeded
     # Via-channel gaps, divided down to via-site ranges in pop order.
     ranges: List[Tuple[int, int, int]] = []
     while stack:
@@ -374,17 +442,10 @@ def reachable_vias(
             if nc > c:
                 break
             nc = c + 1
-    if stats is not None:
-        stats.note(examined, capped)
-    horizontal = layer.orientation is Orientation.HORIZONTAL
-    if memo is None:
-        return _collect_sites(ranges, horizontal, a_via, via_map, passable)
-    # Stored with ``a``'s own site probed and kept: another via in the
-    # same start gap replays this entry, and for it that site counts.
-    sites = _collect_sites(ranges, horizontal, None, via_map, passable)
-    if not capped:
-        memo[memo_key] = (sites, examined)
-    return _without(sites, a_via)
+    sites = _collect_sites(
+        ranges, horizontal, skip_vx, skip_vy, via_map, passable
+    )
+    return sites, examined, capped
 
 
 def _without(sites: List[ViaPoint], via: Optional[ViaPoint]) -> List[ViaPoint]:
@@ -401,14 +462,15 @@ def _without(sites: List[ViaPoint], via: Optional[ViaPoint]) -> List[ViaPoint]:
 def _collect_sites(
     ranges: List[Tuple[int, int, int]],
     horizontal: bool,
-    skip: Optional[ViaPoint],
+    s_vx: int,
+    s_vy: int,
     via_map: ViaMap,
     passable: FrozenSet[int],
 ) -> List[ViaPoint]:
     """Available sites of ``(via channel, first site, last site)`` ranges.
 
-    Emission order is range order, ascending within a range; ``skip`` is
-    neither probed nor reported.  An inline of
+    Emission order is range order, ascending within a range; the site
+    ``(s_vx, s_vy)`` is neither probed nor reported.  An inline of
     :meth:`ViaMap.is_available_xy` — free sites are available to everyone,
     covered sites only when solely owned by a passable owner — with the
     probe tally added in one lump.
@@ -418,8 +480,6 @@ def _collect_sites(
     via_ny = via_map.via_ny
     sole_get = via_map._sole.get
     probes = 0
-    s_vx = skip.vx if skip is not None else -1
-    s_vy = skip.vy if skip is not None else -1
     for vc, v_lo, v_hi in ranges:
         for v in range(v_lo, v_hi + 1):
             vx, vy = (v, vc) if horizontal else (vc, v)

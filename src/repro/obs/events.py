@@ -364,13 +364,15 @@ class BoundsStats(RouteEvent):
 class BackendSelected(RouteEvent):
     """A router resolved its configured search backend: ``requested`` is
     the ``RouterConfig.backend`` value ("auto" included), ``selected``
-    the resolved kernel set (always "python" since the numpy backend
-    was removed).  Emitted once per ``route()`` call, so traces record
-    which backend produced every route."""
+    the kernel that runs ("native" or "python"), and ``reason`` why
+    python runs: the native kernel's build failure, or "requested"
+    (empty when native runs).  Emitted once per ``route()`` call, so
+    traces record which backend produced every route."""
 
     kind: ClassVar[str] = "backend_selected"
     requested: str
     selected: str
+    reason: str = ""
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from typing import List, Optional, Sequence
 from repro.board.board import Board
 from repro.board.nets import Connection
 from repro.channels.workspace import RoutingWorkspace
+from repro.core import fastpath
 from repro.core.budget import STOP_DEADLINE, BudgetTracker
 from repro.core.profiling import RouterProfile
 from repro.core.result import RoutingResult
@@ -104,9 +105,7 @@ class ParallelRouter:
         self.board = board
         self.config = config or RouterConfig(workers=2)
         self.workspace = workspace or RoutingWorkspace(board)
-        #: The resolved search backend, reported per route().
-        from repro.core import fastpath
-
+        #: The resolved search backend, applied and reported per route().
         self.backend = fastpath.resolve_backend(self.config.backend)
         #: Master-side routing event stream (repro.obs).  Pool workers
         #: route in other processes and are not traced; their outcomes
@@ -268,9 +267,16 @@ class ParallelRouter:
         timed = tracker.timed
         sink = self.sink
         ws = self.workspace
+        fastpath.use_backend(ws, self.backend)
         self.profile.bump(f"backend_{self.backend}", 1)
         if sink.enabled:
-            sink.emit(BackendSelected(cfg.backend, self.backend))
+            sink.emit(
+                BackendSelected(
+                    cfg.backend,
+                    self.backend,
+                    fastpath.backend_reason(self.backend),
+                )
+            )
 
         if cfg.workers > 1 and cfg.pool_auto_serial:
             decision = pool_decision(
